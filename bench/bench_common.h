@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,7 @@ namespace freq::bench {
 
 namespace detail {
 /// Process-wide allocation counters, fed by the replacement operator
-/// new/delete defined at the bottom of this header. Relaxed atomics: the
+/// new/delete in bench/alloc_hook.cpp. Relaxed atomics: the
 /// benches read deltas between phase boundaries on one thread; worker
 /// threads' allocations land eventually (the phases join their workers
 /// before reading).
@@ -236,60 +235,5 @@ inline void print_stream_stats(const update_stream<std::uint64_t, std::uint64_t>
 }
 
 }  // namespace freq::bench
-
-// --- replacement global allocation functions ---------------------------------
-// Every bench binary is a single translation unit including this header
-// exactly once, so defining the replaceable allocation functions here is
-// ODR-safe and hooks *all* heap traffic of the process — libfreq's, the
-// standard library's, the workload's — into the counters above. Disable
-// with -DFREQ_BENCH_NO_ALLOC_HOOK (e.g. for a TU that links something with
-// its own replacement).
-#ifndef FREQ_BENCH_NO_ALLOC_HOOK
-
-void* operator new(std::size_t n) {
-    freq::bench::detail::note_alloc(n);
-    if (void* p = std::malloc(n != 0 ? n : 1)) {
-        return p;
-    }
-    throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t n) { return ::operator new(n); }
-
-void* operator new(std::size_t n, std::align_val_t al) {
-    freq::bench::detail::note_alloc(n);
-    const std::size_t a = std::max(static_cast<std::size_t>(al), sizeof(void*));
-    void* p = nullptr;
-    // posix_memalign over std::aligned_alloc: no size-multiple-of-alignment
-    // requirement, and glibc frees both with plain free().
-    if (posix_memalign(&p, a, n != 0 ? n : 1) != 0) {
-        throw std::bad_alloc();
-    }
-    return p;
-}
-
-void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-    freq::bench::detail::note_alloc(n);
-    return std::malloc(n != 0 ? n : 1);
-}
-
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-    return ::operator new(n, t);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-
-#endif  // FREQ_BENCH_NO_ALLOC_HOOK
 
 #endif  // FREQ_BENCH_BENCH_COMMON_H

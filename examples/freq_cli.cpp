@@ -24,8 +24,6 @@
 ///                  [--policy plain|fading|window] [--decay R] [--window E]
 ///                  [--tick-every N] [--shards S] [--snapshot-every MS]
 ///                  [--stats-every N]   (telemetry dump every N updates)
-///                  [--hugepages] [--numa]  (memory placement; degrade to
-///                  no-ops with a stderr note when the host can't honor them)
 ///                  --algo picks the sketch algorithm behind the façade
 ///                  (default: the paper's); the chosen algorithm travels in
 ///                  the envelope, so query/report/merge need no flag.
@@ -66,7 +64,6 @@
 #include "baselines/count_min_sketch.h"
 #include "baselines/rbmc.h"
 #include "baselines/space_saving_heap.h"
-#include "common/mem.h"
 #include "core/frequent_items_sketch.h"
 #include "metrics/error.h"
 #include "net/ipv4.h"
@@ -106,8 +103,6 @@ struct args {
     bool timestamps = false;            ///< gen: write FQTR v2 with timestamps
     std::string levels = "32,24,16,8";  ///< hhh/replay: prefix levels
     std::string into = "engine";        ///< replay: sink (engine | hhh)
-    bool hugepages = false;  ///< advise THP on sketch/engine buffers
-    bool numa = false;       ///< interleave engine shards across NUMA nodes
 };
 
 args parse(int argc, char** argv) {
@@ -167,10 +162,6 @@ args parse(int argc, char** argv) {
             a.levels = next();
         } else if (flag == "--into") {
             a.into = next();
-        } else if (flag == "--hugepages") {
-            a.hugepages = true;
-        } else if (flag == "--numa") {
-            a.numa = true;
         } else {
             a.positional.push_back(flag);
         }
@@ -461,35 +452,6 @@ summarizer build_from_flags(const args& a) {
     }
     if (a.snapshot_every > 0) {
         b.snapshot_every(std::chrono::milliseconds(a.snapshot_every));
-    }
-    // Memory placement is advisory: report what the host can actually honor
-    // so a degraded run (no THP, single node, FREQ_NUMA=OFF) is visible
-    // instead of silently identical.
-    if (a.hugepages) {
-        b.hugepages();
-        const mem::topology& topo = mem::host_topology();
-        if (!mem::numa_compiled) {
-            std::fprintf(stderr,
-                         "--hugepages: built without NUMA/hugepage support "
-                         "(FREQ_NUMA=OFF or non-Linux); running with ordinary pages\n");
-        } else if (!topo.thp_available && topo.explicit_hugepage_bytes == 0) {
-            std::fprintf(stderr,
-                         "--hugepages: host has no transparent-huge-page support and "
-                         "an empty hugepage pool; running with ordinary pages\n");
-        }
-    }
-    if (a.numa) {
-        b.numa(numa_policy::interleave);
-        const mem::topology& topo = mem::host_topology();
-        if (a.shards == 0) {
-            std::fprintf(stderr,
-                         "--numa: standalone summarizer (no --shards); nothing to "
-                         "interleave\n");
-        } else if (!topo.multi_node()) {
-            std::fprintf(stderr,
-                         "--numa: single NUMA node detected; shard placement "
-                         "unchanged\n");
-        }
     }
     return b.build();
 }

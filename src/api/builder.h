@@ -66,7 +66,6 @@
 #include "api/summary_bytes.h"
 #include "baselines/backend_summaries.h"
 #include "common/contracts.h"
-#include "common/mem.h"
 #include "core/basic_frequent_items.h"
 #include "core/generic_frequent_items.h"
 #include "core/lifetime_policy.h"
@@ -885,12 +884,6 @@ public:
         backend_ = s;
         return *this;
     }
-    /// \deprecated Spelling kept for source compatibility; use
-    /// `storage(freq::storage::table)`.
-    builder& table_backend() { return storage(freq::storage::table); }
-    /// \deprecated Spelling kept for source compatibility; use
-    /// `storage(freq::storage::map)`.
-    builder& map_backend() { return storage(freq::storage::map); }
 
     // --- engine sharding -----------------------------------------------------
 
@@ -918,29 +911,6 @@ public:
     /// summarizer::enable_snapshot_service). Requires sharded ingestion.
     builder& snapshot_every(std::chrono::microseconds interval) {
         snapshot_interval_ = interval;
-        return *this;
-    }
-
-    // --- memory placement ----------------------------------------------------
-
-    /// NUMA shard placement for sharded ingestion (engine_config::numa):
-    /// `numa_policy::interleave` pins each shard's worker round-robin
-    /// across the host's nodes and constructs the shard's memory there
-    /// (first-touch locality). Results never change — only page placement
-    /// and worker affinity. No-op for standalone summaries, single-node
-    /// hosts and FREQ_NUMA=OFF builds.
-    builder& numa(freq::numa_policy p) {
-        engine_.numa = p;
-        return *this;
-    }
-
-    /// Advise transparent huge pages on the summary's large backing
-    /// buffers — counter-table arrays, engine rings, spelling arenas.
-    /// Applies to sharded and standalone summaries alike; hosts without
-    /// THP silently ignore the advice (freq_mem_hugepage_regions_total
-    /// counts the regions actually advised).
-    builder& hugepages(bool on = true) {
-        hugepages_ = on;
         return *this;
     }
 
@@ -990,7 +960,6 @@ public:
         if (sharded_) {
             engine_config ecfg = engine_;
             ecfg.sketch = d.sketch;
-            ecfg.hugepages = ecfg.hugepages || hugepages_;
             // One slot beyond the user's producer budget is reserved for
             // the summarizer's internal scalar-update producer, so calling
             // update() never consumes a feeder slot.
@@ -1001,48 +970,28 @@ public:
             }
             return s;
         }
-        // Standalone summaries get the hugepage half of the hints; NUMA
-        // locality is moot (the sketch lives wherever the caller's thread
-        // first-touches it).
-        return summarizer(make_standalone(d, mem::placement{hugepages_, -1}));
+        return summarizer(make_standalone(d));
     }
 
 private:
-    /// Constructs a sketch, forwarding placement hints to backends that
-    /// accept them (the paper-sketch family); config-only backends skip
-    /// the hugepage advice.
-    template <typename Sketch>
-    static Sketch construct_sketch(const sketch_config& cfg, const mem::placement& place) {
-        if constexpr (std::is_constructible_v<Sketch, const sketch_config&,
-                                              const mem::placement&>) {
-            return Sketch(cfg, place);
-        } else {
-            (void)place;
-            return Sketch(cfg);
-        }
-    }
-
     template <typename Sketch>
     static std::unique_ptr<detail::summarizer_impl> standalone(
-        const summary_descriptor& d, const mem::placement& place) {
-        return std::make_unique<detail::u64_summarizer<Sketch>>(
-            d, construct_sketch<Sketch>(d.sketch, place));
+        const summary_descriptor& d) {
+        return std::make_unique<detail::u64_summarizer<Sketch>>(d, Sketch(d.sketch));
     }
 
     template <typename W, typename L>
-    static std::unique_ptr<detail::summarizer_impl> text(const summary_descriptor& d,
-                                                         const mem::placement& place) {
+    static std::unique_ptr<detail::summarizer_impl> text(const summary_descriptor& d) {
         return std::make_unique<detail::text_summarizer<W, L>>(
-            d, string_frequent_items<W, L>(d.sketch, place));
+            d, string_frequent_items<W, L>(d.sketch));
     }
 
     template <typename W, typename L>
-    static std::unique_ptr<detail::summarizer_impl> map(const summary_descriptor& d,
-                                                        const mem::placement& place) {
+    static std::unique_ptr<detail::summarizer_impl> map(const summary_descriptor& d) {
         using sketch_type = generic_frequent_items<std::uint64_t, W, std::hash<std::uint64_t>,
                                                    std::equal_to<std::uint64_t>, L>;
         return std::make_unique<detail::u64_summarizer<sketch_type>>(
-            d, construct_sketch<sketch_type>(d.sketch, place));
+            d, sketch_type(d.sketch));
     }
 
     template <typename Sketch>
@@ -1060,25 +1009,25 @@ private:
     /// Baseline-algorithm instantiations (u64 keys, table storage, plain or
     /// — for count_min / space_saving — fading; build() vetted the combo).
     static std::unique_ptr<detail::summarizer_impl> make_baseline(
-        const summary_descriptor& d, const mem::placement& place) {
+        const summary_descriptor& d) {
         const bool real = d.weights == weight_kind::real;
         switch (d.algorithm) {
             case algo::count_min:
                 if (d.lifetime == lifetime_kind::fading) {
-                    return standalone<count_min_summary<double, exponential_fading>>(d, place);
+                    return standalone<count_min_summary<double, exponential_fading>>(d);
                 }
                 return real
-                           ? standalone<count_min_summary<double, plain_lifetime>>(d, place)
-                           : standalone<count_min_summary<std::uint64_t, plain_lifetime>>(d, place);
+                           ? standalone<count_min_summary<double, plain_lifetime>>(d)
+                           : standalone<count_min_summary<std::uint64_t, plain_lifetime>>(d);
             case algo::count_sketch:
-                return standalone<count_sketch_summary>(d, place);
+                return standalone<count_sketch_summary>(d);
             default:  // algo::space_saving
                 if (d.lifetime == lifetime_kind::fading) {
-                    return standalone<space_saving_summary<double, exponential_fading>>(d, place);
+                    return standalone<space_saving_summary<double, exponential_fading>>(d);
                 }
-                return real ? standalone<space_saving_summary<double, plain_lifetime>>(d, place)
+                return real ? standalone<space_saving_summary<double, plain_lifetime>>(d)
                             : standalone<
-                                  space_saving_summary<std::uint64_t, plain_lifetime>>(d, place);
+                                  space_saving_summary<std::uint64_t, plain_lifetime>>(d);
         }
     }
 
@@ -1109,9 +1058,9 @@ private:
     }
 
     static std::unique_ptr<detail::summarizer_impl> make_standalone(
-        const summary_descriptor& d, const mem::placement& place) {
+        const summary_descriptor& d) {
         if (d.algorithm != algo::paper) {
-            return make_baseline(d, place);
+            return make_baseline(d);
         }
         const bool real = d.weights == weight_kind::real;
         switch (d.keys) {
@@ -1119,38 +1068,38 @@ private:
                 if (d.backend == backend_kind::map) {
                     switch (d.lifetime) {
                         case lifetime_kind::plain:
-                            return real ? map<double, plain_lifetime>(d, place)
-                                        : map<std::uint64_t, plain_lifetime>(d, place);
+                            return real ? map<double, plain_lifetime>(d)
+                                        : map<std::uint64_t, plain_lifetime>(d);
                         default:
-                            return map<double, exponential_fading>(d, place);
+                            return map<double, exponential_fading>(d);
                     }
                 }
                 switch (d.lifetime) {
                     case lifetime_kind::plain:
                         return real ? standalone<basic_frequent_items<
-                                          std::uint64_t, double, plain_lifetime>>(d, place)
+                                          std::uint64_t, double, plain_lifetime>>(d)
                                     : standalone<basic_frequent_items<
-                                          std::uint64_t, std::uint64_t, plain_lifetime>>(d, place);
+                                          std::uint64_t, std::uint64_t, plain_lifetime>>(d);
                     case lifetime_kind::fading:
                         return standalone<
                             basic_frequent_items<std::uint64_t, double, exponential_fading>>(
-                            d, place);
+                            d);
                     default:
                         return real ? standalone<basic_frequent_items<std::uint64_t, double,
-                                                                      epoch_window>>(d, place)
+                                                                      epoch_window>>(d)
                                     : standalone<basic_frequent_items<
-                                          std::uint64_t, std::uint64_t, epoch_window>>(d, place);
+                                          std::uint64_t, std::uint64_t, epoch_window>>(d);
                 }
             default:
                 switch (d.lifetime) {
                     case lifetime_kind::plain:
-                        return real ? text<double, plain_lifetime>(d, place)
-                                    : text<std::uint64_t, plain_lifetime>(d, place);
+                        return real ? text<double, plain_lifetime>(d)
+                                    : text<std::uint64_t, plain_lifetime>(d);
                     case lifetime_kind::fading:
-                        return text<double, exponential_fading>(d, place);
+                        return text<double, exponential_fading>(d);
                     default:
-                        return real ? text<double, epoch_window>(d, place)
-                                    : text<std::uint64_t, epoch_window>(d, place);
+                        return real ? text<double, epoch_window>(d)
+                                    : text<std::uint64_t, epoch_window>(d);
                 }
         }
     }
@@ -1199,7 +1148,6 @@ private:
     lifetime_kind lifetime_ = lifetime_kind::plain;
     backend_kind backend_ = backend_kind::table;
     bool sharded_ = false;
-    bool hugepages_ = false;
     std::optional<std::chrono::microseconds> snapshot_interval_;
 };
 

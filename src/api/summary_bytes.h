@@ -203,8 +203,8 @@ template <typename K, typename W>
 struct summary_traits<frequent_items_sketch<K, W>>
     : summary_traits<basic_frequent_items<K, W, plain_lifetime>> {};
 
-template <typename W, typename L, typename T, typename D>
-struct summary_traits<fingerprint_frequent_items<std::string, W, L, T, D>> {
+template <typename W, typename L, typename T>
+struct summary_traits<fingerprint_frequent_items<std::string, W, L, T>> {
     static constexpr key_kind keys = key_kind::text;
     static constexpr weight_kind weights = detail::weight_kind_of<W>();
     static constexpr lifetime_kind lifetime = detail::lifetime_kind_of<L>();
@@ -709,24 +709,20 @@ struct summary_serde_access {
     static constexpr std::uint32_t max_dictionary_segments = 4096;
 
     /// One canonically-sorted dictionary segment: dict_n | (fp, len, bytes).
-    /// Generic over the dictionary backend (heap Items or arena views —
-    /// spelling_dictionary.h): both expose spellings convertible to
-    /// string_view, and the canonical fingerprint sort makes the emitted
-    /// bytes independent of backend and map iteration order.
-    template <typename Dict>
-    static void put_dictionary_segment(byte_writer& w, const Dict& dict) {
-        std::vector<std::pair<std::uint64_t, std::string_view>> entries;
+    static void put_dictionary_segment(byte_writer& w,
+                                       const spelling_dictionary<std::string>& dict) {
+        std::vector<std::pair<std::uint64_t, const std::string*>> entries;
         entries.reserve(dict.size());
-        dict.for_each([&](std::uint64_t fp, std::string_view spelling) {
-            entries.emplace_back(fp, spelling);
+        dict.for_each([&](std::uint64_t fp, const std::string& spelling) {
+            entries.emplace_back(fp, &spelling);
         });
         std::sort(entries.begin(), entries.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });
         w.put_u32(static_cast<std::uint32_t>(entries.size()));
         for (const auto& [fp, spelling] : entries) {
             w.put_u64(fp);
-            w.put_u32(static_cast<std::uint32_t>(spelling.size()));
-            w.put_bytes(spelling.data(), spelling.size());
+            w.put_u32(static_cast<std::uint32_t>(spelling->size()));
+            w.put_bytes(spelling->data(), spelling->size());
         }
     }
 
@@ -735,9 +731,9 @@ struct summary_serde_access {
     /// snapshot merge). Fingerprints must be strictly ascending *within*
     /// the segment (canonical order doubles as the duplicate check), and a
     /// genuine per-source dictionary never exceeds the prune bound.
-    template <typename W, typename L, typename T, typename D>
+    template <typename W, typename L, typename T>
     static void get_dictionary_segment(
-        byte_reader& r, fingerprint_frequent_items<std::string, W, L, T, D>& s) {
+        byte_reader& r, fingerprint_frequent_items<std::string, W, L, T>& s) {
         const std::uint32_t n = r.get_u32();
         FREQ_REQUIRE(n <= s.dict_.prune_limit() + 1,
                      "envelope dictionary exceeds the prune bound");
@@ -758,28 +754,29 @@ struct summary_serde_access {
 
     /// Counters-only write (the shard-preserving saver frames the
     /// dictionary itself).
-    template <typename W, typename L, typename T, typename D>
-    static void put_inner_summary(
-        byte_writer& w, const fingerprint_frequent_items<std::string, W, L, T, D>& s) {
+    template <typename W, typename L, typename T>
+    static void put_inner_summary(byte_writer& w,
+                                  const fingerprint_frequent_items<std::string, W, L, T>& s) {
         put_summary(w, s.sketch_);
     }
 
-    template <typename W, typename L, typename T, typename D>
-    static const D& dict_of(const fingerprint_frequent_items<std::string, W, L, T, D>& s) {
+    template <typename W, typename L, typename T>
+    static const spelling_dictionary<std::string>& dict_of(
+        const fingerprint_frequent_items<std::string, W, L, T>& s) {
         return s.dict_;
     }
 
-    template <typename W, typename L, typename T, typename D>
+    template <typename W, typename L, typename T>
     static void put_summary(byte_writer& w,
-                            const fingerprint_frequent_items<std::string, W, L, T, D>& s) {
+                            const fingerprint_frequent_items<std::string, W, L, T>& s) {
         put_summary(w, s.sketch_);
         w.put_u32(1);  // the canonical image is a single unioned segment
         put_dictionary_segment(w, s.dict_);
     }
 
-    template <typename W, typename L, typename T, typename D>
+    template <typename W, typename L, typename T>
     static void get_summary(byte_reader& r,
-                            fingerprint_frequent_items<std::string, W, L, T, D>& s,
+                            fingerprint_frequent_items<std::string, W, L, T>& s,
                             std::uint8_t minor) {
         get_summary(r, s.sketch_);
         if (minor == 0) {
@@ -858,12 +855,11 @@ summary_bytes envelope_save(const Summary& s) {
 /// and normalizes back to the canonical single-segment image on the next
 /// save. \p shard_clones views must outlive the call; an empty span writes
 /// the canonical image of \p folded instead.
-template <typename W, typename L, typename T, typename D>
+template <typename W, typename L, typename T>
 summary_bytes envelope_save_sharded_text(
-    const fingerprint_frequent_items<std::string, W, L, T, D>& folded,
-    std::span<const fingerprint_frequent_items<std::string, W, L, T, D>* const>
-        shard_clones) {
-    using summary_type = fingerprint_frequent_items<std::string, W, L, T, D>;
+    const fingerprint_frequent_items<std::string, W, L, T>& folded,
+    std::span<const fingerprint_frequent_items<std::string, W, L, T>* const> shard_clones) {
+    using summary_type = fingerprint_frequent_items<std::string, W, L, T>;
     if (shard_clones.empty()) {
         return envelope_save(folded);
     }

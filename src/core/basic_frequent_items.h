@@ -78,14 +78,9 @@ public:
     explicit basic_frequent_items(std::uint32_t max_counters)
         : basic_frequent_items(sketch_config{.max_counters = max_counters}) {}
 
-    /// \p place carries the memory-placement hints of common/mem.h straight
-    /// into the counter_table allocation (huge-page advice before first
-    /// fault; NUMA locality via construction on a pinned thread). Hints
-    /// never affect results and are not part of merge compatibility.
-    explicit basic_frequent_items(const sketch_config& cfg,
-                                  const mem::placement& place = {})
+    explicit basic_frequent_items(const sketch_config& cfg)
         : cfg_(cfg),
-          table_(cfg.max_counters, cfg.seed, place),
+          table_(cfg.max_counters, cfg.seed),
           rng_(mix64(cfg.seed ^ 0xa076'1d64'78bd'642fULL)) {
         FREQ_REQUIRE(cfg.max_counters >= 1, "sketch needs at least one counter");
         FREQ_REQUIRE(cfg.decrement_quantile >= 0.0 && cfg.decrement_quantile < 1.0,
@@ -96,11 +91,6 @@ public:
                      "sample size must be in [1, 2^20]");
         sample_buf_.resize(cfg.sample_size);
         policy_.configure(cfg);
-    }
-
-    /// Re-applies placement hints to the backing table (see counter_table).
-    void apply_placement(const mem::placement& place) noexcept {
-        table_.apply_placement(place);
     }
 
     // --- stream ingestion ---------------------------------------------------
@@ -504,25 +494,14 @@ public:
     explicit basic_frequent_items(std::uint32_t max_counters)
         : basic_frequent_items(sketch_config{.max_counters = max_counters}) {}
 
-    explicit basic_frequent_items(const sketch_config& cfg,
-                                  const mem::placement& place = {})
-        : cfg_(cfg), place_(place) {
+    explicit basic_frequent_items(const sketch_config& cfg) : cfg_(cfg) {
         FREQ_REQUIRE(cfg.window_epochs >= 1, "epoch_window needs at least one epoch");
         FREQ_REQUIRE(cfg.window_epochs <= 4096, "epoch_window ring limited to 4096 epochs");
         ring_.reserve(cfg.window_epochs);
         slot_epoch_.reserve(cfg.window_epochs);
         for (std::uint32_t e = 0; e < cfg.window_epochs; ++e) {
-            ring_.emplace_back(epoch_cfg(e), place_);
+            ring_.emplace_back(epoch_cfg(e));
             slot_epoch_.push_back(e);
-        }
-    }
-
-    /// Placement applies to every live epoch and to epochs the ring rotates
-    /// in later (tick() constructs them with the stored hints).
-    void apply_placement(const mem::placement& place) noexcept {
-        place_ = place;
-        for (auto& e : ring_) {
-            e.apply_placement(place);
         }
     }
 
@@ -548,7 +527,7 @@ public:
             now_ += epochs;
             for (std::uint64_t a = now_ + 1 - window; a <= now_; ++a) {
                 const std::uint32_t slot = static_cast<std::uint32_t>(a % window);
-                ring_[slot] = epoch_sketch(epoch_cfg(a), place_);
+                ring_[slot] = epoch_sketch(epoch_cfg(a));
                 slot_epoch_[slot] = a;
             }
             return;
@@ -557,7 +536,7 @@ public:
             ++now_;
             const std::uint32_t slot = static_cast<std::uint32_t>(now_ % ring_.size());
             if (slot_epoch_[slot] != now_) {
-                ring_[slot] = epoch_sketch(epoch_cfg(now_), place_);
+                ring_[slot] = epoch_sketch(epoch_cfg(now_));
                 slot_epoch_[slot] = now_;
             }
         }
@@ -738,7 +717,6 @@ private:
     }
 
     sketch_config cfg_;
-    mem::placement place_;  ///< hints for epochs the ring rotates in later
     std::vector<epoch_sketch> ring_;       ///< slot e holds absolute epoch slot_epoch_[e]
     std::vector<std::uint64_t> slot_epoch_;
     std::uint64_t now_ = 0;

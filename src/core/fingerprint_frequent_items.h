@@ -37,7 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/mem.h"
 #include "core/basic_frequent_items.h"
 #include "core/frequent_items_sketch.h"
 #include "core/lifetime_policy.h"
@@ -80,8 +79,7 @@ struct key_fingerprint_traits<std::string> {
 };
 
 template <typename Item, typename W = double, typename Lifetime = plain_lifetime,
-          typename Traits = key_fingerprint_traits<Item>,
-          typename Dict = spelling_dictionary<Item>>
+          typename Traits = key_fingerprint_traits<Item>>
 class fingerprint_frequent_items {
     /// The plain instantiation routes through frequent_items_sketch so the
     /// serialization-capable type stays reachable; other lifetimes sit on
@@ -97,10 +95,7 @@ public:
     using key_traits = Traits;
     using weight_type = W;
     using lifetime_policy = Lifetime;
-    /// Defaults to the arena backend for strings, the heap backend for
-    /// other item types; tests pin the heap backend explicitly to hold the
-    /// two to bit-identical envelopes (spelling_dictionary.h).
-    using dictionary_type = Dict;
+    using dictionary_type = spelling_dictionary<Item>;
 
     struct row {
         Item item;
@@ -115,23 +110,12 @@ public:
               sketch_config{.max_counters = max_counters, .seed = seed}) {}
 
     /// Full-config constructor — needed to reach the lifetime knobs
-    /// (sketch_config::decay / window_epochs). \p place threads the memory
-    /// hints of common/mem.h into both halves: the counting table's backing
-    /// arrays and the spelling dictionary's byte arena.
-    explicit fingerprint_frequent_items(const sketch_config& cfg,
-                                        const mem::placement& place = {})
-        : sketch_(cfg, place) {
+    /// (sketch_config::decay / window_epochs).
+    explicit fingerprint_frequent_items(const sketch_config& cfg) : sketch_(cfg) {
         // The dictionary budget must cover every simultaneously trackable
         // fingerprint: a windowed sketch tracks up to k per live epoch.
         dict_.configure(static_cast<std::uint64_t>(cfg.max_counters) *
                         (Lifetime::windowed ? cfg.window_epochs : 1u));
-        dict_.set_placement(place);
-    }
-
-    /// Re-applies placement hints to table arrays and future arena blocks.
-    void apply_placement(const mem::placement& place) noexcept {
-        sketch_.apply_placement(place);
-        dict_.set_placement(place);
     }
 
     /// The key's position in the 64-bit fingerprint space the counting core
@@ -277,10 +261,8 @@ private:
         std::vector<row> out;
         out.reserve(in.size());
         for (const auto& r : in) {
-            // Heap backend: const Item*. Arena backend: const string_view*
-            // into the arena — either way an Item is materialized per row.
-            const auto* spelling = dict_.find(r.id);
-            out.push_back(row{spelling != nullptr ? Item(*spelling) : unknown_item(),
+            const Item* spelling = dict_.find(r.id);
+            out.push_back(row{spelling != nullptr ? *spelling : unknown_item(),
                               r.estimate, r.lower_bound, r.upper_bound, r.id});
         }
         return out;

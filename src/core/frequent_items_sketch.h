@@ -60,9 +60,7 @@ public:
     /// (sample median of l = 1024, i.e. SMED).
     explicit frequent_items_sketch(std::uint32_t max_counters) : base(max_counters) {}
 
-    explicit frequent_items_sketch(const sketch_config& cfg,
-                                   const mem::placement& place = {})
-        : base(cfg, place) {}
+    explicit frequent_items_sketch(const sketch_config& cfg) : base(cfg) {}
 
     // --- serialization ---------------------------------------------------------
 

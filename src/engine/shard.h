@@ -40,12 +40,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/contracts.h"
-#include "common/mem.h"
 #include "core/frequent_items_sketch.h"
 #include "core/sketch_config.h"
 #include "engine/spelling_channel.h"
@@ -103,25 +101,15 @@ public:
     /// \param batch_size        maximum updates applied per sketch lock.
     /// \param spelling_capacity pending-spelling bound (spelling-keeping
     ///                          sketches only; ignored otherwise).
-    /// \param place             memory hints (common/mem.h): huge-page
-    ///                          advice lands on the sketch tables, ring
-    ///                          buffers and spelling arena; NUMA locality
-    ///                          comes from *constructing this shard on the
-    ///                          pinned worker thread* (first-touch), which
-    ///                          is what stream_engine does.
     engine_shard(const sketch_config& cfg, std::size_t num_producers,
                  std::size_t ring_capacity, std::size_t batch_size,
-                 std::size_t spelling_capacity = 4096, const mem::placement& place = {})
-        : sketch_(make_sketch(cfg, place)),
-          spellings_(spelling_capacity),
-          batch_size_(batch_size) {
+                 std::size_t spelling_capacity = 4096)
+        : sketch_(cfg), spellings_(spelling_capacity), batch_size_(batch_size) {
         FREQ_REQUIRE(num_producers >= 1, "shard needs at least one producer ring");
         FREQ_REQUIRE(batch_size >= 1, "shard batch size must be positive");
         rings_.reserve(num_producers);
         for (std::size_t p = 0; p < num_producers; ++p) {
             rings_.push_back(std::make_unique<spsc_ring<update_type>>(ring_capacity));
-            mem::apply_placement(rings_.back()->storage(),
-                                 rings_.back()->storage_bytes(), place);
         }
         batch_buf_.resize(batch_size);
     }
@@ -174,10 +162,10 @@ public:
     }
 
     /// Copy-assigning clone for callers that keep a reusable target: the
-    /// target's backing arrays (counter table vectors, dictionary arena)
-    /// are reused when capacities match, so a steady-state fold cycle
-    /// (stream_engine::snapshot_into) performs no heap allocation. Same
-    /// consistency contract as clone_sketch().
+    /// target's backing arrays (counter table vectors, dictionary map) are
+    /// reused when capacities match, so a steady-state fold cycle
+    /// (stream_engine::snapshot_into) performs no heap allocation for
+    /// fixed-layout sketches. Same consistency contract as clone_sketch().
     void clone_sketch_into(Sketch& out) const {
         std::lock_guard<std::mutex> lock(mutex_);
         out = sketch_;
@@ -234,20 +222,6 @@ public:
     }
 
 private:
-    /// Constructs the shard sketch, forwarding placement hints to backends
-    /// that accept them (the paper-sketch family does); backends with a
-    /// config-only constructor — some façade alternatives — still work,
-    /// they just skip the hugepage advice.
-    static Sketch make_sketch(const sketch_config& cfg, const mem::placement& place) {
-        if constexpr (std::is_constructible_v<Sketch, const sketch_config&,
-                                              const mem::placement&>) {
-            return Sketch(cfg, place);
-        } else {
-            (void)place;
-            return Sketch(cfg);
-        }
-    }
-
     /// Moves pending spellings from the channel into the sketch dictionary
     /// under the sketch mutex. Spellings may arrive before the counts that
     /// admit their fingerprint — insertion is unconditional and the

@@ -126,12 +126,6 @@ public:
 
     bool empty() const noexcept { return size() == 0; }
 
-    /// Raw backing storage, for placement advice (common/mem.h huge-page
-    /// madvise) right after construction — the slots themselves are only
-    /// ever accessed through the SPSC protocol above.
-    void* storage() noexcept { return buf_.data(); }
-    std::size_t storage_bytes() const noexcept { return capacity_ * sizeof(T); }
-
 private:
     // Immutable after construction and read by both sides: lives on its own
     // read-only-shared line ahead of the mutable cursors.

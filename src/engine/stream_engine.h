@@ -70,10 +70,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -83,7 +81,6 @@
 #include <vector>
 
 #include "common/contracts.h"
-#include "common/mem.h"
 #include "core/counter_maintenance.h"
 #include "core/frequent_items_sketch.h"
 #include "core/sketch_config.h"
@@ -95,21 +92,6 @@
 #include "stream/update.h"
 
 namespace freq {
-
-/// How the engine places shards relative to the host's NUMA topology
-/// (common/mem.h). Placement never changes results — only where the
-/// shards' pages live and which CPUs their workers run on.
-enum class numa_policy : std::uint8_t {
-    /// No pinning, no placement: workers float, memory lands wherever the
-    /// scheduler ran the constructing thread. The pre-placement behavior.
-    none,
-    /// Round-robin shards across the detected NUMA nodes: shard s's worker
-    /// is pinned to node (s mod nodes) and constructs the shard's memory
-    /// itself, so first-touch puts the counter tables, rings and spelling
-    /// arenas on the worker's node. Degrades to `none` on single-node
-    /// hosts, FREQ_NUMA=OFF builds and non-Linux platforms.
-    interleave,
-};
 
 /// Tuning knobs of stream_engine.
 struct engine_config {
@@ -145,18 +127,6 @@ struct engine_config {
     /// Per-shard sketch configuration. Shard s runs with seed + s so the
     /// shards' hash functions are independent (§3.2's merge note).
     sketch_config sketch{};
-
-    /// NUMA shard placement (see numa_policy above). The default keeps
-    /// behavior and thread affinity identical to a build without the
-    /// memory subsystem.
-    numa_policy numa = numa_policy::none;
-
-    /// Advise transparent huge pages on each shard's large backing buffers
-    /// (counter-table arrays, SPSC ring slots, spelling arena blocks).
-    /// Advice only: hosts without THP, FREQ_NUMA=OFF builds and non-Linux
-    /// platforms silently ignore it. freq_mem_hugepage_regions_total counts
-    /// the regions actually advised.
-    bool hugepages = false;
 
     /// Incremental snapshot folds: snapshot() keeps a per-shard clone cache
     /// keyed by engine_shard::generation() and re-clones/re-merges only the
@@ -369,56 +339,31 @@ public:
         FREQ_REQUIRE(cfg.num_shards <= 4096, "engine shard count limited to 4096");
         FREQ_REQUIRE(cfg.num_producers >= 1, "engine needs at least one producer slot");
         FREQ_REQUIRE(cfg.num_producers <= 4096, "engine producer count limited to 4096");
+        shards_.reserve(cfg.num_shards);
+        for (std::uint32_t s = 0; s < cfg.num_shards; ++s) {
+            sketch_config local = cfg.sketch;
+            // Per-shard seed perturbation decorrelates the counter cores'
+            // decrement sampling — but linear-sketch backends (count_min /
+            // count_sketch) opt out via merge_requires_equal_seeds: their
+            // cellwise merge composes across shards only under identical
+            // hash functions, which is sound because shards partition the
+            // key space (equal seeds never double-count an item).
+            if constexpr (!detail::merge_requires_equal_seeds_v<Sketch>) {
+                local.seed = cfg.sketch.seed + s;
+            }
+            shards_.push_back(std::make_unique<engine_shard<K, W, Sketch>>(
+                local, cfg.num_producers, cfg.ring_capacity, cfg.drain_batch,
+                cfg.spelling_channel_capacity));
+        }
         route_salt_ = murmur_mix64(cfg.sketch.seed ^ 0x5368'6172'6445'6e67ULL);
-        // Each worker pins itself (per cfg.numa) and then constructs its own
-        // shard, so first-touch places the shard's memory — tables, rings,
-        // spelling arena — on the worker's node. The constructor returns
-        // only once every shard exists (producers may touch any shard the
-        // moment make_producer() is reachable) or a construction failed.
-        shards_.resize(cfg.num_shards);
-        struct start_sync {
-            std::mutex m;
-            std::condition_variable cv;
-            std::uint32_t ready = 0;
-            std::exception_ptr failure;
-        } start;
         workers_.reserve(cfg.num_shards);
         try {
             for (std::uint32_t s = 0; s < cfg.num_shards; ++s) {
-                workers_.emplace_back([this, s, &start] {
-                    bool ok = false;
-                    try {
-                        construct_shard(s);
-                        ok = true;
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lk(start.m);
-                        if (start.failure == nullptr) {
-                            start.failure = std::current_exception();
-                        }
-                    }
-                    {
-                        std::lock_guard<std::mutex> lk(start.m);
-                        ++start.ready;
-                        // Notify under the lock: the constructor's wait()
-                        // cannot return — and `start` unwind — until this
-                        // worker drops the mutex, so the signal always
-                        // completes before the condition_variable dies.
-                        start.cv.notify_one();
-                    }
-                    if (ok) {
-                        worker_loop(s);
-                    }
-                });
-            }
-            std::unique_lock<std::mutex> lk(start.m);
-            start.cv.wait(lk, [&] { return start.ready == cfg_.num_shards; });
-            if (start.failure != nullptr) {
-                std::rethrow_exception(start.failure);
+                workers_.emplace_back([this, s] { worker_loop(s); });
             }
         } catch (...) {
-            // Thread spawn or shard construction failed partway: stop and
-            // join the workers that did start, so unwinding never destroys
-            // a joinable thread or leaves a worker draining a dead engine.
+            // Thread spawn failed partway: stop and join the workers that
+            // did start, so unwinding never destroys a joinable thread.
             stopping_.store(true, std::memory_order_release);
             for (auto& w : workers_) {
                 if (w.joinable()) {
@@ -539,10 +484,10 @@ public:
     /// fixed-layout sketches (u64 keys): the cached clean fold, the
     /// per-shard clones and the previous-fold cache all copy-assign into
     /// existing vector capacity, and the dirty-shard merges are in-place
-    /// O(k). Spelling-keeping sketches still allocate hash-map nodes for
-    /// dictionary entries new since the last fold (their byte storage
-    /// reuses the arena). \p out must be constructed from this engine's
-    /// config or be a previous snapshot of it.
+    /// O(k). Spelling-keeping sketches still allocate a hash-map node and
+    /// a string for each dictionary entry new since the last fold. \p out
+    /// must be constructed from this engine's config or be a previous
+    /// snapshot of it.
     void snapshot_into(sketch_type& out) const {
         if (!cfg_.incremental_snapshots) {
             snapshot_folds_.fetch_add(1, std::memory_order_relaxed);
@@ -742,40 +687,6 @@ private:
     /// particular — must see the same config regardless of which fold path
     /// produced the sketch.
     sketch_config fold_base_cfg() const { return cfg_.sketch; }
-
-    /// Runs on worker thread s, before its drain loop: applies the NUMA
-    /// policy (pin first, construct after), so every allocation the shard
-    /// makes first-touches pages on the worker's node.
-    void construct_shard(std::uint32_t s) {
-        int node = -1;
-        if (cfg_.numa == numa_policy::interleave) {
-            const mem::topology& topo = mem::host_topology();
-            node = topo.node_for_worker(s);  // -1 on single-node hosts
-            if (node >= 0) {
-                if (mem::pin_thread_to_node(topo, node)) {
-                    obs::pipeline().mem_node_local_shards.add(1);
-                } else {
-                    // Pin failed (cpuset restrictions, degraded build): the
-                    // shard still works, its memory just isn't node-bound.
-                    node = -1;
-                    obs::pipeline().mem_remote_shards.add(1);
-                }
-            }
-        }
-        sketch_config local = cfg_.sketch;
-        // Per-shard seed perturbation decorrelates the counter cores'
-        // decrement sampling — but linear-sketch backends (count_min /
-        // count_sketch) opt out via merge_requires_equal_seeds: their
-        // cellwise merge composes across shards only under identical
-        // hash functions, which is sound because shards partition the
-        // key space (equal seeds never double-count an item).
-        if constexpr (!detail::merge_requires_equal_seeds_v<Sketch>) {
-            local.seed = cfg_.sketch.seed + s;
-        }
-        shards_[s] = std::make_unique<engine_shard<K, W, Sketch>>(
-            local, cfg_.num_producers, cfg_.ring_capacity, cfg_.drain_batch,
-            cfg_.spelling_channel_capacity, mem::placement{cfg_.hugepages, node});
-    }
 
     void worker_loop(std::uint32_t s) {
         engine_shard<K, W, Sketch>& shard = *shards_[s];

@@ -32,11 +32,6 @@
 #include "api/summarizer.h"
 #include "api/summary_bytes.h"
 
-// Memory subsystem: NUMA topology, huge-page-advised buffers, bump arenas
-// (compile with -DFREQ_NUMA=OFF to pin every operation to its no-op
-// degradation; results are identical either way).
-#include "common/mem.h"
-
 // The paper's contribution (Algorithms 3-5 + §2.3 engineering).
 #include "core/basic_frequent_items.h"        // policy-templated counter core
 #include "core/fingerprint_frequent_items.h"  // any key kind via fingerprints

@@ -21,9 +21,6 @@
 ///   freq_facade_*    api/summarizer.h verbs
 ///   freq_hhh_* / freq_entropy_* / freq_replay_*
 ///                    network-telemetry subsystem (src/telemetry/)
-///   freq_mem_*       memory subsystem (common/mem.h): hugepage-backed
-///                    regions, arena reservations/resets, NUMA shard
-///                    placement outcomes
 ///
 /// Under -DFREQ_OBS_OFF this struct collapses to a bundle of empty no-op
 /// members with constant initialization, so obs::pipeline().x.add(…)
@@ -78,13 +75,6 @@ struct pipeline_metrics {
     counter& hhh_levels_queried;
     counter& entropy_alarms;
     counter& replay_records;
-
-    // --- memory subsystem (common/mem.h) --------------------------------------
-    counter& mem_hugepage_regions;
-    counter& mem_arena_reserved_bytes;
-    counter& mem_arena_resets;
-    counter& mem_node_local_shards;
-    counter& mem_remote_shards;
 
     static pipeline_metrics& instance() {
         static pipeline_metrics m{registry::global()};
@@ -187,23 +177,7 @@ private:
               "Entropy-shift alarms raised (collapse or spike vs the EWMA baseline)")),
           replay_records(r.get_counter(
               "freq_replay_records_total",
-              "Trace records driven through the pipeline by replay harnesses")),
-          mem_hugepage_regions(r.get_counter(
-              "freq_mem_hugepage_regions_total",
-              "Memory regions successfully huge-page backed or THP-advised")),
-          mem_arena_reserved_bytes(r.get_counter(
-              "freq_mem_arena_reserved_bytes_total",
-              "Bytes of block storage ever reserved by bump-pointer arenas")),
-          mem_arena_resets(r.get_counter(
-              "freq_mem_arena_resets_total",
-              "Bulk arena resets (spelling prune rebuilds, fold-scratch reuse)")),
-          mem_node_local_shards(r.get_counter(
-              "freq_mem_node_local_shards_total",
-              "Shard workers pinned to a NUMA node with node-local state")),
-          mem_remote_shards(r.get_counter(
-              "freq_mem_remote_shards_total",
-              "Shard workers that requested NUMA placement but degraded "
-              "(single node, failed pin, or FREQ_NUMA=OFF)")) {}
+              "Trace records driven through the pipeline by replay harnesses")) {}
 };
 
 #else  // FREQ_OBS_OFF: empty no-op members, constant-initialized.
@@ -239,11 +213,6 @@ struct pipeline_metrics {
     counter hhh_levels_queried;
     counter entropy_alarms;
     counter replay_records;
-    counter mem_hugepage_regions;
-    counter mem_arena_reserved_bytes;
-    counter mem_arena_resets;
-    counter mem_node_local_shards;
-    counter mem_remote_shards;
 
     static pipeline_metrics& instance() noexcept {
         static pipeline_metrics m;

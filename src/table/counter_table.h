@@ -56,7 +56,6 @@
 
 #include "common/bits.h"
 #include "common/contracts.h"
-#include "common/mem.h"
 #include "common/simd.h"
 #include "hashing/hash.h"
 
@@ -105,17 +104,7 @@ public:
     ///                   counters; the slot array is sized ceil_pow2(4k/3).
     /// \param hash_seed  seeds the slot hash so distinct tables can use
     ///                   independent hash functions (see §3.2's merge note).
-    /// \param place      memory-placement hints (common/mem.h): with
-    ///                   hugepages set, the freshly sized parallel arrays —
-    ///                   the SIMD probe groups live inside them — are
-    ///                   THP-advised right here, before any entry lands, so
-    ///                   the kernel can back them with huge pages from the
-    ///                   first fault. NUMA locality needs no hook: the
-    ///                   arrays fault in on the *constructing* thread's
-    ///                   node, and the engine constructs each shard on its
-    ///                   pinned worker. Placement never affects results.
-    explicit counter_table(std::uint32_t max_items, std::uint64_t hash_seed = 0,
-                           const mem::placement& place = {})
+    explicit counter_table(std::uint32_t max_items, std::uint64_t hash_seed = 0)
         : max_items_(max_items), hash_seed_(hash_seed) {
         FREQ_REQUIRE(max_items >= 1, "counter_table needs capacity for at least one counter");
         FREQ_REQUIRE(max_items <= (1u << 28), "counter_table capacity limited to 2^28 counters");
@@ -125,16 +114,6 @@ public:
         keys_.resize(num_slots_);
         values_.resize(num_slots_);
         states_.assign(num_slots_, 0);
-        apply_placement(place);
-    }
-
-    /// The allocator hook's re-advise half: applies the hugepage hint to
-    /// the already-allocated parallel arrays (vectors never reallocate, so
-    /// advising once covers the table's lifetime). Safe to call anytime.
-    void apply_placement(const mem::placement& place) noexcept {
-        mem::apply_placement(keys_.data(), keys_.size() * sizeof(K), place);
-        mem::apply_placement(values_.data(), values_.size() * sizeof(W), place);
-        mem::apply_placement(states_.data(), states_.size() * sizeof(state_type), place);
     }
 
     std::uint32_t capacity() const noexcept { return max_items_; }   ///< k

@@ -121,8 +121,8 @@ TEST(ApiBuilder, ConstructsAllPoliciesAndKeyKindsAtRuntime) {
 }
 
 TEST(ApiBuilder, MapBackendAndShardedVariantsConstruct) {
-    auto m1 = builder().map_backend().max_counters(32).build();
-    auto m2 = builder().map_backend().max_counters(32).fading(0.5).build();
+    auto m1 = builder().storage(freq::storage::map).max_counters(32).build();
+    auto m2 = builder().storage(freq::storage::map).max_counters(32).fading(0.5).build();
     auto e1 = builder().max_counters(32).sharded(2).build();
     auto e2 = builder().max_counters(32).fading(0.5).sharded(2).build();
     auto e3 = builder().max_counters(32).sliding_window(3).sharded(2).build();
@@ -138,9 +138,12 @@ TEST(ApiBuilder, MapBackendAndShardedVariantsConstruct) {
 
 TEST(ApiBuilder, InvalidCombinationsThrowPrecisely) {
     EXPECT_THROW(builder().counts().fading(0.5).build(), std::invalid_argument);
-    EXPECT_THROW(builder().map_backend().sliding_window(3).build(), std::invalid_argument);
-    EXPECT_THROW(builder().map_backend().sharded(2).build(), std::invalid_argument);
-    EXPECT_THROW(builder().text_keys().map_backend().build(), std::invalid_argument);
+    EXPECT_THROW(builder().storage(freq::storage::map).sliding_window(3).build(),
+                 std::invalid_argument);
+    EXPECT_THROW(builder().storage(freq::storage::map).sharded(2).build(),
+                 std::invalid_argument);
+    EXPECT_THROW(builder().text_keys().storage(freq::storage::map).build(),
+                 std::invalid_argument);
     EXPECT_THROW(builder().max_counters(0).build(), std::invalid_argument);
     EXPECT_THROW(builder().fading(1.5).build(), std::invalid_argument);
 }
@@ -184,7 +187,7 @@ TEST(ApiThresholdModes, PlainAgainstExactCounter) {
 
 TEST(ApiThresholdModes, MapBackendAgainstExactCounter) {
     const auto stream = test_stream(12);
-    auto s = builder().map_backend().max_counters(k).build();
+    auto s = builder().storage(freq::storage::map).max_counters(k).build();
     exact_counter<std::uint64_t, std::uint64_t> exact;
     for (const auto& u : stream) {
         s.update(u.id, static_cast<double>(u.weight));

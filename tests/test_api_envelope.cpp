@@ -86,8 +86,8 @@ builder variant(int i) {
         case 3: b.text_keys().plain(); break;
         case 4: b.text_keys().fading(0.6); break;
         case 5: b.text_keys().sliding_window(3); break;
-        case 6: b.map_backend().plain(); break;
-        case 7: b.map_backend().fading(0.6); break;
+        case 6: b.storage(freq::storage::map).plain(); break;
+        case 7: b.storage(freq::storage::map).fading(0.6); break;
         case 8: b.plain().sharded(2); break;
         case 9: b.fading(0.6).sharded(2); break;
         case 10: b.sliding_window(3).sharded(2); break;

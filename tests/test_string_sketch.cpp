@@ -121,6 +121,40 @@ TEST(SpellingDictionary, MergeUnionKeepsFirstSpelling) {
     EXPECT_EQ(a.size(), 2u);
 }
 
+TEST(SpellingDictionary, CopiesAreDeepAndCopyAssignKeepsContents) {
+    // Keys longer than the small-string buffer, so a shallow copy would
+    // share heap bytes with the source.
+    auto key_of = [](std::uint64_t i) {
+        std::string key = "spelling-key-";  // +=: see the gcc 12 note above
+        key += std::to_string(i);
+        key += "-padding-beyond-sso";
+        return key;
+    };
+    spelling_dictionary<std::string> a(64);
+    for (std::uint64_t i = 0; i < 50; ++i) {
+        a.note(i, key_of(i));
+    }
+    spelling_dictionary<std::string> copy(a);
+    a.prune([](std::uint64_t) { return false; });  // empties the source
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(copy.size(), 50u);
+    for (std::uint64_t i = 0; i < 50; ++i) {
+        ASSERT_NE(copy.find(i), nullptr);
+        EXPECT_EQ(*copy.find(i), key_of(i));
+    }
+    // Repeated copy-assign into one target (the engine's snapshot fold
+    // reuses its clones this way) leaves it equal to the source each time.
+    spelling_dictionary<std::string> target(64);
+    for (int round = 0; round < 10; ++round) {
+        target = copy;
+        EXPECT_EQ(target.size(), 50u);
+    }
+    for (std::uint64_t i = 0; i < 50; ++i) {
+        ASSERT_NE(target.find(i), nullptr);
+        EXPECT_EQ(*target.find(i), key_of(i));
+    }
+}
+
 TEST(StringSketch, FrequentItemsCarryFingerprints) {
     // The fingerprint/dictionary split exposes the counted fingerprint on
     // every row — the id the engine routes by.
