@@ -176,7 +176,11 @@ const std::vector<std::pair<std::string, double>>& text_stream_for() {
         std::vector<std::pair<std::string, double>> out;
         out.reserve(ids.size());
         for (const auto& u : ids) {
-            out.emplace_back("w" + std::to_string(u.id), static_cast<double>(u.weight));
+            // Appended, not "w" + to_string(...): gcc 12 Release reports a
+            // false -Wrestrict on the short-literal concatenation here.
+            std::string word = "w";
+            word += std::to_string(u.id);
+            out.emplace_back(std::move(word), static_cast<double>(u.weight));
         }
         return out;
     }();

@@ -58,7 +58,7 @@ struct feeder_impl {
 
 /// The erased summary behind summarizer. One concrete subclass exists per
 /// (key kind × weight kind × lifetime × backend × engine) instantiation the
-/// builder can materialize (api/builder.h).
+/// builder can materialize, all compiled once in api/builder.cpp.
 struct summarizer_impl {
     virtual ~summarizer_impl() = default;
 

@@ -255,7 +255,10 @@ TEST(ApiThresholdModes, TextKeysAgainstExactCounts) {
     std::unordered_map<std::string, double> truth;
     const auto stream = test_stream(50, 60'000);
     for (const auto& u : stream) {
-        const std::string word = "w" + std::to_string(u.id % 3'000);
+        // Appended, not "w" + to_string(...): gcc 12 Release reports a
+        // false -Wrestrict on the short-literal concatenation here.
+        std::string word = "w";
+        word += std::to_string(u.id % 3'000);
         s.update(word, static_cast<double>(u.weight));
         truth[word] += static_cast<double>(u.weight);
     }

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/builder.h"
@@ -76,6 +78,10 @@ void expect_same_answers(const summarizer& a, const summarizer& b) {
     }
 }
 
+/// Every legal build, one per instantiation: 20 standalone and 17 sharded
+/// (the map storage does not shard).
+constexpr int num_variants = 37;
+
 builder variant(int i) {
     builder b;
     b.max_counters(256).seed(11);
@@ -103,15 +109,37 @@ builder variant(int i) {
         case 18: b.algorithm(algo::space_saving).plain(); break;
         case 19: b.algorithm(algo::space_saving).fading(0.6); break;
         case 20: b.algorithm(algo::count_min).sharded(2); break;
-        default: b.algorithm(algo::space_saving).sharded(2); break;
+        case 21: b.algorithm(algo::space_saving).sharded(2); break;
+        // Real weights on the counts-default lifetimes, standalone ...
+        case 22: b.real_weights().plain(); break;
+        case 23: b.real_weights().sliding_window(3); break;
+        case 24: b.text_keys().real_weights().plain(); break;
+        case 25: b.text_keys().real_weights().sliding_window(3); break;
+        case 26: b.storage(freq::storage::map).real_weights().plain(); break;
+        case 27: b.algorithm(algo::space_saving).real_weights(); break;
+        // ... and sharded, with the remaining sharded baselines.
+        case 28: b.real_weights().plain().sharded(2); break;
+        case 29: b.real_weights().sliding_window(3).sharded(2); break;
+        case 30: b.text_keys().real_weights().plain().sharded(2); break;
+        case 31: b.text_keys().real_weights().sliding_window(3).sharded(2); break;
+        case 32: b.algorithm(algo::count_min).real_weights().sharded(2); break;
+        case 33: b.algorithm(algo::count_min).fading(0.6).sharded(2); break;
+        case 34: b.algorithm(algo::count_sketch).sharded(2); break;
+        case 35: b.algorithm(algo::space_saving).real_weights().sharded(2); break;
+        default: b.algorithm(algo::space_saving).fading(0.6).sharded(2); break;
     }
     return b;
 }
 
 TEST(ApiEnvelope, BitExactRoundTripForEveryInstantiation) {
-    for (int i = 0; i <= 21; ++i) {
+    std::set<std::tuple<algo, key_kind, weight_kind, lifetime_kind, backend_kind, bool>>
+        instantiations;
+    for (int i = 0; i < num_variants; ++i) {
         SCOPED_TRACE("variant " + std::to_string(i));
         auto s = variant(i).build();
+        const auto& d = s.descriptor();
+        instantiations.emplace(d.algorithm, d.keys, d.weights, d.lifetime, d.backend,
+                               s.sharded());
         feed(s, 100 + static_cast<std::uint64_t>(i));
         const auto first = s.save();
         auto restored = restore_summary(first);
@@ -123,6 +151,8 @@ TEST(ApiEnvelope, BitExactRoundTripForEveryInstantiation) {
             expect_same_answers(s, restored);
         }
     }
+    EXPECT_EQ(instantiations.size(), static_cast<std::size_t>(num_variants))
+        << "every variant must name a distinct instantiation";
 }
 
 TEST(ApiEnvelope, DescriptorSurvivesTheWire) {
