@@ -1,8 +1,8 @@
 /// \file builder.cpp
 /// Every summary instantiation the façade can materialize, compiled once:
-/// the four erased wrappers (standalone / sharded × u64 / text keys), the
-/// one descriptor → sketch-type table, and the factory and restore path
-/// declared in api/builder.h.
+/// the two erased wrappers (standalone and sharded, each taking its u64 or
+/// text keys from the sketch type), the one descriptor → sketch-type table,
+/// and the factory and restore path declared in api/builder.h.
 
 #include "api/builder.h"
 
@@ -90,6 +90,21 @@ std::vector<result_row> u64_rows(const Rows& in) {
     return out;
 }
 
+/// Spelled rows (fingerprint-counted cores) -> façade rows: `id` is the
+/// 64-bit fingerprint the core actually counted (correct even while a
+/// spelling is still "<unknown>"), `item` the human-readable key.
+template <typename Rows>
+std::vector<result_row> text_rows(const Rows& in) {
+    std::vector<result_row> out;
+    out.reserve(in.size());
+    for (const auto& r : in) {
+        out.push_back(result_row{r.fingerprint, r.item, static_cast<double>(r.estimate),
+                                 static_cast<double>(r.lower_bound),
+                                 static_cast<double>(r.upper_bound)});
+    }
+    return out;
+}
+
 /// The error envelope a result_set reports: at least the summary's own
 /// a-posteriori bound, widened to cover every returned row — a windowed
 /// summary answers set queries through an epoch fold (Algorithm 5 per
@@ -102,31 +117,54 @@ double result_error(double summary_error, const std::vector<result_row>& rows) {
     return summary_error;
 }
 
-[[noreturn]] void wrong_key_kind(const char* have, const char* got) {
+// --- the key kind, a compile-time fact of the sketch type --------------------
+
+template <typename Sketch>
+inline constexpr bool text_keyed = summary_traits<Sketch>::keys == key_kind::text;
+
+template <typename Sketch>
+inline constexpr bool map_backed = summary_traits<Sketch>::backend == backend_kind::map;
+
+/// The key type \p Sketch counts by: a string for text, an id otherwise.
+template <typename Sketch>
+using key_of = std::conditional_t<text_keyed<Sketch>, std::string_view, std::uint64_t>;
+
+/// Rejects a call keyed by the other kind than \p Sketch's.
+template <typename Sketch>
+[[noreturn]] void wrong_key_kind() {
+    const char* have = text_keyed<Sketch> ? "text" : "u64";
+    const char* got = text_keyed<Sketch> ? "u64" : "text";
     throw std::invalid_argument(std::string("libfreq: this summarizer has ") + have +
                                 " keys; " + got + "-keyed call rejected");
 }
 
-/// A feeder over a standalone (unsharded) summary: forwards straight to the
-/// impl. Single-threaded like the summary itself.
-class standalone_feeder final : public feeder_impl {
-public:
-    explicit standalone_feeder(summarizer_impl* owner) : owner_(owner) {}
-    void push(std::uint64_t id, double weight) override { owner_->update(id, weight); }
-    void push(std::string_view item, double weight) override {
-        owner_->update(item, weight);
+/// \p key when it is of \p Sketch's key kind; otherwise the call is
+/// rejected before it touches any state.
+template <typename Sketch, typename K>
+key_of<Sketch> own_key(K key) {
+    if constexpr (std::is_same_v<K, key_of<Sketch>>) {
+        return key;
+    } else {
+        wrong_key_kind<Sketch>();
     }
-    void flush() override {}
+}
 
-private:
-    summarizer_impl* owner_;
-};
+/// Core rows -> façade rows, by the sketch's key kind.
+template <typename Sketch, typename Rows>
+std::vector<result_row> rows_of(const Rows& in) {
+    if constexpr (text_keyed<Sketch>) {
+        return text_rows(in);
+    } else {
+        return u64_rows(in);
+    }
+}
 
-/// Lifetime-policy clock of a core summary (0 for plain).
+/// Lifetime-policy clock of a core summary (0 for plain). The text cores
+/// keep their own.
 template <typename Sketch>
 std::uint64_t clock_of(const Sketch& s) {
     using P = typename Sketch::lifetime_policy;
-    if constexpr (P::windowed) {
+    if constexpr (P::windowed || text_keyed<Sketch>) {
         return s.now();
     } else if constexpr (P::decaying) {
         return s.policy().now();
@@ -155,28 +193,158 @@ void require_merge_compatible(const summary_descriptor& a,
     }
 }
 
-// --- standalone u64-keyed summaries (table- or map-backed) -------------------
+// --- feeders -----------------------------------------------------------------
 
-/// Wraps any id-keyed core summary (basic_frequent_items of any policy, the
-/// map-backed generic core, or a baseline adapter) behind the erased
-/// interface. The map core exposes no top_items(); see sketch_top_items.
+/// A feeder over a standalone (unsharded) summary: forwards straight to the
+/// impl. Single-threaded like the summary itself.
+class standalone_feeder final : public feeder_impl {
+public:
+    explicit standalone_feeder(summarizer_impl* owner) : owner_(owner) {}
+    void push(std::uint64_t id, double weight) override { owner_->update(id, weight); }
+    void push(std::string_view item, double weight) override { owner_->update(item, weight); }
+    void flush() override {}
+
+private:
+    summarizer_impl* owner_;
+};
+
+/// A feeder over a sharded summary: one engine producer of its own.
 template <typename Sketch>
-class u64_summarizer final : public summarizer_impl {
+class engine_feeder final : public feeder_impl {
+public:
+    using W = typename Sketch::weight_type;
+    using producer = typename stream_engine<std::uint64_t, W, Sketch>::producer;
+
+    explicit engine_feeder(producer p) : producer_(std::move(p)) {}
+    void push(std::uint64_t id, double weight) override { put(id, weight); }
+    void push(std::string_view item, double weight) override { put(item, weight); }
+    void flush() override { producer_.flush(); }
+
+private:
+    template <typename K>
+    void put(K key, double weight) {
+        const auto k = own_key<Sketch>(key);
+        producer_.push(k, facade_weight<W>(weight));
+    }
+
+    producer producer_;
+};
+
+// --- the query verbs, written once -------------------------------------------
+
+/// What both wrappers answer alike: every query verb runs over the view
+/// `Derived::with_view(f)` hands it — the sketch itself for a standalone
+/// summary, a published or freshly folded snapshot for a sharded one.
+template <typename Derived, typename Sketch>
+class summary_queries : public summarizer_impl {
+public:
+    using W = typename Sketch::weight_type;
+    using key_type = key_of<Sketch>;
+
+    explicit summary_queries(summary_descriptor desc) : desc_(std::move(desc)) {}
+
+    const summary_descriptor& descriptor() const noexcept override { return desc_; }
+
+    double estimate(std::uint64_t id) const override { return estimate_of(id); }
+    double estimate(std::string_view item) const override { return estimate_of(item); }
+    double lower_bound(std::uint64_t id) const override { return lower_bound_of(id); }
+    double lower_bound(std::string_view item) const override { return lower_bound_of(item); }
+    double upper_bound(std::uint64_t id) const override { return upper_bound_of(id); }
+    double upper_bound(std::string_view item) const override { return upper_bound_of(item); }
+
+    double total_weight() const override {
+        return view([](const Sketch& s) { return static_cast<double>(s.total_weight()); });
+    }
+    double maximum_error() const override {
+        return view([](const Sketch& s) { return static_cast<double>(s.maximum_error()); });
+    }
+    std::uint32_t num_counters() const override {
+        return view([](const Sketch& s) { return static_cast<std::uint32_t>(s.num_counters()); });
+    }
+
+    result_set frequent_items(error_mode mode, double threshold) const override {
+        return view([&](const Sketch& s) {
+            return answer(mode, threshold, s,
+                          rows_of<Sketch>(s.frequent_items(mode, facade_threshold<W>(threshold))));
+        });
+    }
+    result_set top_items(std::size_t m) const override {
+        return view([&](const Sketch& s) {
+            return answer(error_mode::no_false_negatives, 0.0, s, top_rows(s, m));
+        });
+    }
+
+protected:
+    template <typename F>
+    auto view(F&& f) const {
+        return static_cast<const Derived&>(*this).with_view(std::forward<F>(f));
+    }
+
+    summary_descriptor desc_;
+
+private:
+    // A wrong-kind key throws before any view is pinned or folded.
+    template <typename K>
+    double estimate_of(K key) const {
+        const key_type k = own_key<Sketch>(key);
+        return view([&](const Sketch& s) { return static_cast<double>(s.estimate(k)); });
+    }
+    template <typename K>
+    double lower_bound_of(K key) const {
+        const key_type k = own_key<Sketch>(key);
+        return view([&](const Sketch& s) { return static_cast<double>(s.lower_bound(k)); });
+    }
+    template <typename K>
+    double upper_bound_of(K key) const {
+        const key_type k = own_key<Sketch>(key);
+        return view([&](const Sketch& s) { return static_cast<double>(s.upper_bound(k)); });
+    }
+
+    static std::vector<result_row> top_rows(const Sketch& s, std::size_t m) {
+        if constexpr (map_backed<Sketch>) {
+            // The map core has no top_items(); every tracked item clears an
+            // upper-bound threshold of 0, and rows arrive estimate-sorted.
+            auto rows = s.frequent_items(error_mode::no_false_negatives, W{0});
+            if (rows.size() > m) {
+                rows.resize(m);
+            }
+            return rows_of<Sketch>(rows);
+        } else {
+            return rows_of<Sketch>(s.top_items(m));
+        }
+    }
+
+    static result_set answer(error_mode mode, double threshold, const Sketch& s,
+                             std::vector<result_row> rows) {
+        const double err = result_error(static_cast<double>(s.maximum_error()), rows);
+        return result_set(mode, threshold, static_cast<double>(s.total_weight()), err,
+                          std::move(rows));
+    }
+};
+
+// --- standalone summaries ----------------------------------------------------
+
+/// Wraps any core summary (basic_frequent_items of any policy, the
+/// map-backed generic core, a text core, or a baseline adapter) behind the
+/// erased interface.
+template <typename Sketch>
+class standalone_summarizer final
+    : public summary_queries<standalone_summarizer<Sketch>, Sketch> {
 public:
     using W = typename Sketch::weight_type;
 
-    u64_summarizer(summary_descriptor desc, Sketch sketch)
-        : desc_(std::move(desc)), sketch_(std::move(sketch)) {}
+    standalone_summarizer(summary_descriptor desc, Sketch sketch)
+        : summary_queries<standalone_summarizer, Sketch>(std::move(desc)),
+          sketch_(std::move(sketch)) {}
 
-    const summary_descriptor& descriptor() const noexcept override { return desc_; }
     bool sharded() const noexcept override { return false; }
 
-    void update(std::uint64_t id, double weight) override {
-        sketch_.update(id, facade_weight<W>(weight));
-    }
-    void update(std::string_view, double) override { wrong_key_kind("u64", "text"); }
+    void update(std::uint64_t id, double weight) override { ingest(id, weight); }
+    void update(std::string_view item, double weight) override { ingest(item, weight); }
     void update(std::span<const update64> batch) override {
-        if constexpr (std::is_same_v<W, std::uint64_t> && !is_map_backed) {
+        if constexpr (text_keyed<Sketch>) {
+            wrong_key_kind<Sketch>();
+        } else if constexpr (std::is_same_v<W, std::uint64_t> && !map_backed<Sketch>) {
             sketch_.update(batch);  // the template layer's prefetching span path
         } else {
             for (const auto& u : batch) {
@@ -192,209 +360,80 @@ public:
     void tick(std::uint64_t epochs) override { sketch_.tick(epochs); }
     std::uint64_t now() const override { return clock_of(sketch_); }
 
-    double estimate(std::uint64_t id) const override {
-        return static_cast<double>(sketch_.estimate(id));
-    }
-    double lower_bound(std::uint64_t id) const override {
-        return static_cast<double>(sketch_.lower_bound(id));
-    }
-    double upper_bound(std::uint64_t id) const override {
-        return static_cast<double>(sketch_.upper_bound(id));
-    }
-    double estimate(std::string_view) const override { wrong_key_kind("u64", "text"); }
-    double lower_bound(std::string_view) const override { wrong_key_kind("u64", "text"); }
-    double upper_bound(std::string_view) const override { wrong_key_kind("u64", "text"); }
-
-    double total_weight() const override {
-        return static_cast<double>(sketch_.total_weight());
-    }
-    double maximum_error() const override {
-        return static_cast<double>(sketch_.maximum_error());
-    }
-    std::uint32_t num_counters() const override {
-        return static_cast<std::uint32_t>(sketch_.num_counters());
-    }
     std::uint32_t capacity() const override { return sketch_.capacity(); }
     std::size_t memory_bytes() const override { return sketch_.memory_bytes(); }
-
-    result_set frequent_items(error_mode mode, double threshold) const override {
-        auto rows = u64_rows(sketch_.frequent_items(mode, facade_threshold<W>(threshold)));
-        const double err = result_error(maximum_error(), rows);
-        return result_set(mode, threshold, total_weight(), err, std::move(rows));
-    }
-    result_set top_items(std::size_t m) const override {
-        auto rows = sketch_top_items(m);
-        const double err = result_error(maximum_error(), rows);
-        return result_set(error_mode::no_false_negatives, 0.0, total_weight(), err,
-                          std::move(rows));
-    }
 
     summary_bytes save() override { return envelope_save(sketch_); }
 
     void merge_from(const summarizer_impl& other) override {
-        const auto* peer = dynamic_cast<const u64_summarizer*>(&other);
+        const auto* peer = dynamic_cast<const standalone_summarizer*>(&other);
         FREQ_REQUIRE(peer != nullptr && peer != this,
-                     "merge requires a distinct standalone summarizer of the same "
-                     "instantiation (snapshot() a sharded one first)");
-        require_merge_compatible(desc_, peer->desc_);
+                     text_keyed<Sketch>
+                         ? "merge requires a distinct standalone summarizer of the same "
+                           "instantiation"
+                         : "merge requires a distinct standalone summarizer of the same "
+                           "instantiation (snapshot() a sharded one first)");
+        require_merge_compatible(this->desc_, peer->desc_);
         sketch_.merge(peer->sketch_);
     }
 
     std::unique_ptr<summarizer_impl> snapshot() const override {
-        return std::make_unique<u64_summarizer>(desc_, sketch_);
-    }
-
-    std::string to_string() const override { return sketch_.to_string(); }
-
-private:
-    static constexpr bool is_map_backed =
-        summary_traits<Sketch>::backend == backend_kind::map;
-
-    std::vector<result_row> sketch_top_items(std::size_t m) const {
-        if constexpr (is_map_backed) {
-            // The map core has no top_items(); every tracked item clears an
-            // upper-bound threshold of 0, and rows arrive estimate-sorted.
-            auto rows = sketch_.frequent_items(error_mode::no_false_negatives, W{0});
-            if (rows.size() > m) {
-                rows.resize(m);
-            }
-            return u64_rows(rows);
-        } else {
-            return u64_rows(sketch_.top_items(m));
-        }
-    }
-
-    summary_descriptor desc_;
-    Sketch sketch_;
-};
-
-// --- standalone text-keyed summaries -----------------------------------------
-
-/// Spelled rows (fingerprint-counted cores) -> façade rows: `id` is the
-/// 64-bit fingerprint the core actually counted (correct even while a
-/// spelling is still "<unknown>"), `item` the human-readable key.
-template <typename Rows>
-std::vector<result_row> text_rows(const Rows& in) {
-    std::vector<result_row> out;
-    out.reserve(in.size());
-    for (const auto& r : in) {
-        out.push_back(result_row{r.fingerprint, r.item, static_cast<double>(r.estimate),
-                                 static_cast<double>(r.lower_bound),
-                                 static_cast<double>(r.upper_bound)});
-    }
-    return out;
-}
-
-template <typename Sketch>
-class text_summarizer final : public summarizer_impl {
-public:
-    using sketch_type = Sketch;
-    using W = typename Sketch::weight_type;
-
-    text_summarizer(summary_descriptor desc, sketch_type sketch)
-        : desc_(std::move(desc)), sketch_(std::move(sketch)) {}
-
-    const summary_descriptor& descriptor() const noexcept override { return desc_; }
-    bool sharded() const noexcept override { return false; }
-
-    void update(std::uint64_t, double) override { wrong_key_kind("text", "u64"); }
-    void update(std::string_view item, double weight) override {
-        sketch_.update(item, facade_weight<W>(weight));
-    }
-    void update(std::span<const update64>) override { wrong_key_kind("text", "u64"); }
-    std::unique_ptr<feeder_impl> make_feeder() override {
-        return std::make_unique<standalone_feeder>(this);
-    }
-    void flush() override {}
-
-    void tick(std::uint64_t epochs) override { sketch_.tick(epochs); }
-    std::uint64_t now() const override { return sketch_.now(); }
-
-    double estimate(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double lower_bound(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double upper_bound(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double estimate(std::string_view item) const override {
-        return static_cast<double>(sketch_.estimate(item));
-    }
-    double lower_bound(std::string_view item) const override {
-        return static_cast<double>(sketch_.lower_bound(item));
-    }
-    double upper_bound(std::string_view item) const override {
-        return static_cast<double>(sketch_.upper_bound(item));
-    }
-
-    double total_weight() const override {
-        return static_cast<double>(sketch_.total_weight());
-    }
-    double maximum_error() const override {
-        return static_cast<double>(sketch_.maximum_error());
-    }
-    std::uint32_t num_counters() const override { return sketch_.num_counters(); }
-    std::uint32_t capacity() const override { return sketch_.capacity(); }
-    std::size_t memory_bytes() const override { return sketch_.memory_bytes(); }
-
-    result_set frequent_items(error_mode mode, double threshold) const override {
-        auto rows =
-            text_rows(sketch_.frequent_items(mode, facade_threshold<W>(threshold)));
-        const double err = result_error(maximum_error(), rows);
-        return result_set(mode, threshold, total_weight(), err, std::move(rows));
-    }
-    result_set top_items(std::size_t m) const override {
-        auto rows = text_rows(sketch_.top_items(m));
-        const double err = result_error(maximum_error(), rows);
-        return result_set(error_mode::no_false_negatives, 0.0, total_weight(), err,
-                          std::move(rows));
-    }
-
-    summary_bytes save() override { return envelope_save(sketch_); }
-
-    void merge_from(const summarizer_impl& other) override {
-        const auto* peer = dynamic_cast<const text_summarizer*>(&other);
-        FREQ_REQUIRE(peer != nullptr && peer != this,
-                     "merge requires a distinct standalone summarizer of the same "
-                     "instantiation");
-        require_merge_compatible(desc_, peer->desc_);
-        sketch_.merge(peer->sketch_);
-    }
-
-    std::unique_ptr<summarizer_impl> snapshot() const override {
-        return std::make_unique<text_summarizer>(desc_, sketch_);
+        return std::make_unique<standalone_summarizer>(this->desc_, sketch_);
     }
 
     std::string to_string() const override {
-        return "text_summarizer(k=" + std::to_string(sketch_.capacity()) +
-               ", counters=" + std::to_string(sketch_.num_counters()) +
-               ", N=" + std::to_string(static_cast<double>(sketch_.total_weight())) + ")";
+        if constexpr (text_keyed<Sketch>) {
+            return "text_summarizer(k=" + std::to_string(sketch_.capacity()) +
+                   ", counters=" + std::to_string(sketch_.num_counters()) +
+                   ", N=" + std::to_string(static_cast<double>(sketch_.total_weight())) + ")";
+        } else {
+            return sketch_.to_string();
+        }
     }
 
 private:
-    summary_descriptor desc_;
-    sketch_type sketch_;
+    friend summary_queries<standalone_summarizer, Sketch>;
+
+    template <typename F>
+    auto with_view(F&& f) const { return f(sketch_); }
+
+    template <typename K>
+    void ingest(K key, double weight) {
+        const auto k = own_key<Sketch>(key);
+        sketch_.update(k, facade_weight<W>(weight));
+    }
+
+    Sketch sketch_;
 };
 
-// --- engine-sharded u64-keyed summaries --------------------------------------
+// --- engine-sharded summaries ------------------------------------------------
 
+/// A stream_engine behind the erased interface. For text keys producers
+/// fingerprint keys and feed the engine's ring hot path, each shard owns
+/// its spelling-dictionary slice, and every read view (fold-on-demand or
+/// the cached published snapshot) is a full string summary — so
+/// estimate("alice") and top_items() answer with spellings straight off
+/// the view.
 template <typename Sketch>
-class engine_summarizer final : public summarizer_impl {
+class sharded_summarizer final : public summary_queries<sharded_summarizer<Sketch>, Sketch> {
 public:
     using W = typename Sketch::weight_type;
     using engine_type = stream_engine<std::uint64_t, W, Sketch>;
 
-    engine_summarizer(summary_descriptor desc, const engine_config& cfg)
-        : desc_(std::move(desc)), engine_(cfg) {}
+    sharded_summarizer(summary_descriptor desc, const engine_config& cfg)
+        : summary_queries<sharded_summarizer, Sketch>(std::move(desc)), engine_(cfg) {}
 
-    const summary_descriptor& descriptor() const noexcept override { return desc_; }
     bool sharded() const noexcept override { return true; }
 
     // Ingestion routes through a lazily-created internal producer; queries
     // see what has been applied — call flush() for a stream-complete view,
     // exactly like the raw engine API.
-    void update(std::uint64_t id, double weight) override {
-        main().push(id, facade_weight<W>(weight));
-    }
-    void update(std::string_view, double) override { wrong_key_kind("u64", "text"); }
+    void update(std::uint64_t id, double weight) override { ingest(id, weight); }
+    void update(std::string_view item, double weight) override { ingest(item, weight); }
     void update(std::span<const update64> batch) override {
-        if constexpr (std::is_same_v<W, std::uint64_t>) {
+        if constexpr (text_keyed<Sketch>) {
+            wrong_key_kind<Sketch>();
+        } else if constexpr (std::is_same_v<W, std::uint64_t>) {
             main().push(batch);
         } else {
             auto& p = main();
@@ -404,7 +443,7 @@ public:
         }
     }
     std::unique_ptr<feeder_impl> make_feeder() override {
-        return std::make_unique<engine_feeder>(engine_.make_producer());
+        return std::make_unique<engine_feeder<Sketch>>(engine_.make_producer());
     }
     void flush() override {
         if (main_.has_value()) {
@@ -438,257 +477,25 @@ public:
     }
     std::uint64_t snapshot_epoch() const override { return engine_.snapshot_epoch(); }
 
-    double estimate(std::uint64_t id) const override {
-        return with_view([&](const Sketch& s) {
-            return static_cast<double>(s.estimate(id));
-        });
-    }
-    double lower_bound(std::uint64_t id) const override {
-        return with_view([&](const Sketch& s) {
-            return static_cast<double>(s.lower_bound(id));
-        });
-    }
-    double upper_bound(std::uint64_t id) const override {
-        return with_view([&](const Sketch& s) {
-            return static_cast<double>(s.upper_bound(id));
-        });
-    }
-    double estimate(std::string_view) const override { wrong_key_kind("u64", "text"); }
-    double lower_bound(std::string_view) const override { wrong_key_kind("u64", "text"); }
-    double upper_bound(std::string_view) const override { wrong_key_kind("u64", "text"); }
-
-    double total_weight() const override {
-        return with_view([](const Sketch& s) {
-            return static_cast<double>(s.total_weight());
-        });
-    }
-    double maximum_error() const override {
-        return with_view([](const Sketch& s) {
-            return static_cast<double>(s.maximum_error());
-        });
-    }
-    std::uint32_t num_counters() const override {
-        return with_view([](const Sketch& s) {
-            return static_cast<std::uint32_t>(s.num_counters());
-        });
-    }
-    std::uint32_t capacity() const override { return desc_.sketch.max_counters; }
+    std::uint32_t capacity() const override { return this->desc_.sketch.max_counters; }
     std::size_t memory_bytes() const override {
-        return with_view([&](const Sketch& s) {
-            return s.memory_bytes() * engine_.num_shards();
-        });
-    }
-
-    result_set frequent_items(error_mode mode, double threshold) const override {
-        return with_view([&](const Sketch& snap) {
-            auto rows =
-                u64_rows(snap.frequent_items(mode, facade_threshold<W>(threshold)));
-            const double err =
-                result_error(static_cast<double>(snap.maximum_error()), rows);
-            return result_set(mode, threshold,
-                              static_cast<double>(snap.total_weight()), err,
-                              std::move(rows));
-        });
-    }
-    result_set top_items(std::size_t m) const override {
-        return with_view([&](const Sketch& snap) {
-            auto rows = u64_rows(snap.top_items(m));
-            const double err =
-                result_error(static_cast<double>(snap.maximum_error()), rows);
-            return result_set(error_mode::no_false_negatives, 0.0,
-                              static_cast<double>(snap.total_weight()), err,
-                              std::move(rows));
+        return with_view([&](const Sketch& s) -> std::size_t {
+            if constexpr (text_keyed<Sketch>) {
+                // Counter tables exist once per shard; the view's dictionary is
+                // already the *union* of the per-shard slices, so count it once.
+                const std::size_t dict = s.dictionary().memory_bytes();
+                return (s.memory_bytes() - dict) * engine_.num_shards() + dict;
+            } else {
+                return s.memory_bytes() * engine_.num_shards();
+            }
         });
     }
 
     // The documented save() contract is a *stream-complete* standalone
     // summary: drain the internal producer and the rings before folding.
     // With the service on, flush() already republished a stream-complete
-    // view — serialize from it instead of folding a second time.
-    summary_bytes save() override {
-        flush();
-        if (engine_.snapshot_service_enabled()) {
-            return envelope_save(*engine_.acquire_snapshot());
-        }
-        return envelope_save(engine_.snapshot());
-    }
-
-    void merge_from(const summarizer_impl&) override {
-        FREQ_REQUIRE(false,
-                     "sharded summarizers ingest through feeders; merge their "
-                     "snapshot() instead");
-    }
-
-    std::unique_ptr<summarizer_impl> snapshot() const override {
-        return std::make_unique<u64_summarizer<Sketch>>(desc_, engine_.snapshot());
-    }
-
-    std::string to_string() const override {
-        const auto st = engine_.stats();
-        return "sharded_summarizer(shards=" + std::to_string(engine_.num_shards()) +
-               ", k=" + std::to_string(desc_.sketch.max_counters) +
-               ", applied=" + std::to_string(st.updates_applied) +
-               ", stalls=" + std::to_string(st.ring_full_stalls) + ")";
-    }
-
-private:
-    class engine_feeder final : public feeder_impl {
-    public:
-        explicit engine_feeder(typename engine_type::producer p) : producer_(std::move(p)) {}
-        void push(std::uint64_t id, double weight) override {
-            producer_.push(id, facade_weight<W>(weight));
-        }
-        void push(std::string_view, double) override { wrong_key_kind("u64", "text"); }
-        void flush() override { producer_.flush(); }
-
-    private:
-        typename engine_type::producer producer_;
-    };
-
-    typename engine_type::producer& main() {
-        if (!main_.has_value()) {
-            main_.emplace(engine_.make_producer());
-        }
-        return *main_;
-    }
-
-    /// Runs \p f over the freshest consistent view: the cached published
-    /// snapshot when the service is on (pinned for the duration of the
-    /// call), a fold-on-demand snapshot otherwise.
-    template <typename F>
-    auto with_view(F&& f) const {
-        if (engine_.snapshot_service_enabled()) {
-            const auto view = engine_.acquire_snapshot();
-            return f(*view);
-        }
-        const Sketch snap = engine_.snapshot();
-        return f(snap);
-    }
-
-    summary_descriptor desc_;
-    engine_type engine_;
-    std::optional<typename engine_type::producer> main_;  ///< scalar-update handle
-    std::uint64_t now_ = 0;
-};
-
-// --- engine-sharded text-keyed summaries -------------------------------------
-
-/// The sharded text path: producers fingerprint keys and feed the engine's
-/// ring hot path, each shard owns its spelling-dictionary slice, and every
-/// read view (fold-on-demand or the cached published snapshot) is a full
-/// string summary — so estimate("alice") and top_items() answer with
-/// spellings straight off the view.
-template <typename Sketch>
-class engine_text_summarizer final : public summarizer_impl {
-public:
-    using sketch_type = Sketch;
-    using W = typename Sketch::weight_type;
-    using engine_type = stream_engine<std::uint64_t, W, sketch_type>;
-
-    engine_text_summarizer(summary_descriptor desc, const engine_config& cfg)
-        : desc_(std::move(desc)), engine_(cfg) {}
-
-    const summary_descriptor& descriptor() const noexcept override { return desc_; }
-    bool sharded() const noexcept override { return true; }
-
-    void update(std::uint64_t, double) override { wrong_key_kind("text", "u64"); }
-    void update(std::string_view item, double weight) override {
-        main().push(item, facade_weight<W>(weight));
-    }
-    void update(std::span<const update64>) override { wrong_key_kind("text", "u64"); }
-    std::unique_ptr<feeder_impl> make_feeder() override {
-        return std::make_unique<engine_feeder>(engine_.make_producer());
-    }
-    void flush() override {
-        if (main_.has_value()) {
-            main_->flush();
-        }
-        engine_.flush();
-    }
-
-    // Same epoch discipline as the u64 engine summarizer: drain first, then
-    // tick, so staged updates age under the epoch they were pushed in.
-    void tick(std::uint64_t epochs) override {
-        flush();
-        engine_.advance_epoch(epochs);
-        now_ += epochs;
-    }
-    std::uint64_t now() const override { return now_; }
-
-    void enable_snapshot_service(std::chrono::microseconds interval) override {
-        engine_.enable_snapshot_service(interval);
-    }
-    void disable_snapshot_service() override { engine_.disable_snapshot_service(); }
-    bool snapshot_service_enabled() const noexcept override {
-        return engine_.snapshot_service_enabled();
-    }
-    std::uint64_t snapshot_epoch() const override { return engine_.snapshot_epoch(); }
-
-    double estimate(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double lower_bound(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double upper_bound(std::uint64_t) const override { wrong_key_kind("text", "u64"); }
-    double estimate(std::string_view item) const override {
-        return with_view([&](const sketch_type& s) {
-            return static_cast<double>(s.estimate(item));
-        });
-    }
-    double lower_bound(std::string_view item) const override {
-        return with_view([&](const sketch_type& s) {
-            return static_cast<double>(s.lower_bound(item));
-        });
-    }
-    double upper_bound(std::string_view item) const override {
-        return with_view([&](const sketch_type& s) {
-            return static_cast<double>(s.upper_bound(item));
-        });
-    }
-
-    double total_weight() const override {
-        return with_view([](const sketch_type& s) {
-            return static_cast<double>(s.total_weight());
-        });
-    }
-    double maximum_error() const override {
-        return with_view([](const sketch_type& s) {
-            return static_cast<double>(s.maximum_error());
-        });
-    }
-    std::uint32_t num_counters() const override {
-        return with_view([](const sketch_type& s) { return s.num_counters(); });
-    }
-    std::uint32_t capacity() const override { return desc_.sketch.max_counters; }
-    std::size_t memory_bytes() const override {
-        return with_view([&](const sketch_type& s) {
-            // Counter tables exist once per shard; the view's dictionary is
-            // already the *union* of the per-shard slices, so count it once.
-            const std::size_t dict = s.dictionary().memory_bytes();
-            return (s.memory_bytes() - dict) * engine_.num_shards() + dict;
-        });
-    }
-
-    result_set frequent_items(error_mode mode, double threshold) const override {
-        return with_view([&](const sketch_type& snap) {
-            auto rows =
-                text_rows(snap.frequent_items(mode, facade_threshold<W>(threshold)));
-            const double err =
-                result_error(static_cast<double>(snap.maximum_error()), rows);
-            return result_set(mode, threshold,
-                              static_cast<double>(snap.total_weight()), err,
-                              std::move(rows));
-        });
-    }
-    result_set top_items(std::size_t m) const override {
-        return with_view([&](const sketch_type& snap) {
-            auto rows = text_rows(snap.top_items(m));
-            const double err =
-                result_error(static_cast<double>(snap.maximum_error()), rows);
-            return result_set(error_mode::no_false_negatives, 0.0,
-                              static_cast<double>(snap.total_weight()), err,
-                              std::move(rows));
-        });
-    }
-
-    // Stream-complete canonical image (single unioned dictionary segment),
+    // view — serialize from it instead of folding a second time. For text
+    // keys that is the canonical image (single unioned dictionary segment),
     // byte-identical to what the restored standalone summary re-saves.
     summary_bytes save() override {
         flush();
@@ -705,31 +512,24 @@ public:
     }
 
     std::unique_ptr<summarizer_impl> snapshot() const override {
-        return std::make_unique<text_summarizer<Sketch>>(desc_, engine_.snapshot());
+        return std::make_unique<standalone_summarizer<Sketch>>(this->desc_, engine_.snapshot());
     }
 
     std::string to_string() const override {
         const auto st = engine_.stats();
-        return "sharded_text_summarizer(shards=" + std::to_string(engine_.num_shards()) +
-               ", k=" + std::to_string(desc_.sketch.max_counters) +
-               ", applied=" + std::to_string(st.updates_applied) +
-               ", spellings=" + std::to_string(st.spellings_applied) +
+        std::string spellings;
+        if constexpr (text_keyed<Sketch>) {
+            spellings = ", spellings=" + std::to_string(st.spellings_applied);
+        }
+        return std::string(text_keyed<Sketch> ? "sharded_text" : "sharded") +
+               "_summarizer(shards=" + std::to_string(engine_.num_shards()) +
+               ", k=" + std::to_string(this->desc_.sketch.max_counters) +
+               ", applied=" + std::to_string(st.updates_applied) + spellings +
                ", stalls=" + std::to_string(st.ring_full_stalls) + ")";
     }
 
 private:
-    class engine_feeder final : public feeder_impl {
-    public:
-        explicit engine_feeder(typename engine_type::producer p) : producer_(std::move(p)) {}
-        void push(std::uint64_t, double) override { wrong_key_kind("text", "u64"); }
-        void push(std::string_view item, double weight) override {
-            producer_.push(item, facade_weight<W>(weight));
-        }
-        void flush() override { producer_.flush(); }
-
-    private:
-        typename engine_type::producer producer_;
-    };
+    friend summary_queries<sharded_summarizer, Sketch>;
 
     typename engine_type::producer& main() {
         if (!main_.has_value()) {
@@ -738,17 +538,25 @@ private:
         return *main_;
     }
 
+    template <typename K>
+    void ingest(K key, double weight) {
+        const auto k = own_key<Sketch>(key);  // reject before claiming a producer
+        main().push(k, facade_weight<W>(weight));
+    }
+
+    /// Runs \p f over the freshest consistent view: the cached published
+    /// snapshot when the service is on (pinned for the duration of the
+    /// call), a fold-on-demand snapshot otherwise.
     template <typename F>
     auto with_view(F&& f) const {
         if (engine_.snapshot_service_enabled()) {
             const auto view = engine_.acquire_snapshot();
             return f(*view);
         }
-        const sketch_type snap = engine_.snapshot();
+        const Sketch snap = engine_.snapshot();
         return f(snap);
     }
 
-    summary_descriptor desc_;
     engine_type engine_;
     std::optional<typename engine_type::producer> main_;  ///< scalar-update handle
     std::uint64_t now_ = 0;
@@ -812,30 +620,18 @@ std::unique_ptr<summarizer_impl> visit_sketch_type(const summary_descriptor& d, 
                                 type_identity<basic_frequent_items<u64, double, plain_lifetime>>{});
 }
 
-/// The standalone wrapper of a sketch: text or u64 keys, per its tags.
-template <typename Sketch>
-std::unique_ptr<summarizer_impl> standalone(const summary_descriptor& d, Sketch sketch) {
-    if constexpr (summary_traits<Sketch>::keys == key_kind::text) {
-        return std::make_unique<text_summarizer<Sketch>>(d, std::move(sketch));
-    } else {
-        return std::make_unique<u64_summarizer<Sketch>>(d, std::move(sketch));
-    }
-}
-
 std::unique_ptr<summarizer_impl> make_summarizer(const summary_descriptor& d,
                                                  const engine_config* engine) {
     return visit_sketch_type(d, [&]<typename Sketch>(std::type_identity<Sketch>)
                                     -> std::unique_ptr<summarizer_impl> {
         if (engine == nullptr) {
-            return standalone(d, Sketch(d.sketch));
+            return std::make_unique<standalone_summarizer<Sketch>>(d, Sketch(d.sketch));
         }
-        if constexpr (summary_traits<Sketch>::backend == backend_kind::map) {
+        if constexpr (map_backed<Sketch>) {
             FREQ_REQUIRE(false, "sharded ingestion requires the table storage");
             return nullptr;
-        } else if constexpr (summary_traits<Sketch>::keys == key_kind::text) {
-            return std::make_unique<engine_text_summarizer<Sketch>>(d, *engine);
         } else {
-            return std::make_unique<engine_summarizer<Sketch>>(d, *engine);
+            return std::make_unique<sharded_summarizer<Sketch>>(d, *engine);
         }
     });
 }
@@ -846,9 +642,10 @@ std::unique_ptr<summarizer_impl> make_summarizer(const summary_descriptor& d,
 
 summarizer restore_summary(const summary_bytes& b, std::uint32_t max_accepted_counters) {
     return summarizer(detail::visit_sketch_type(
-        b.descriptor(), [&]<typename Sketch>(std::type_identity<Sketch>) {
-            return detail::standalone(b.descriptor(),
-                                      envelope_load<Sketch>(b, max_accepted_counters));
+        b.descriptor(), [&]<typename Sketch>(std::type_identity<Sketch>)
+                            -> std::unique_ptr<detail::summarizer_impl> {
+            return std::make_unique<detail::standalone_summarizer<Sketch>>(
+                b.descriptor(), envelope_load<Sketch>(b, max_accepted_counters));
         }));
 }
 

@@ -56,9 +56,11 @@ struct feeder_impl {
     virtual void flush() = 0;
 };
 
-/// The erased summary behind summarizer. One concrete subclass exists per
-/// (key kind × weight kind × lifetime × backend × engine) instantiation the
-/// builder can materialize, all compiled once in api/builder.cpp.
+/// The erased summary behind summarizer. api/builder.cpp implements it
+/// twice, once per ingest mode — standalone_summarizer<Sketch> owns a
+/// sketch, sharded_summarizer<Sketch> owns a stream_engine — and
+/// instantiates both for every (key kind × weight kind × lifetime ×
+/// backend) the builder can materialize, all compiled once there.
 struct summarizer_impl {
     virtual ~summarizer_impl() = default;
 

@@ -3,10 +3,9 @@
 
 /// \file entropy_monitor.h
 /// Streaming entropy with certified intervals and shift alarms, on the
-/// engine. The estimator is the seed `entropy_estimator` scheme
-/// (Chakrabarti–Cormode–McGregor: plug-in entropy of the tracked heavy
-/// hitters plus analytic brackets on the untracked residual) lifted from
-/// the raw single-threaded sketch onto published façade views: every
+/// engine. The estimator is the Chakrabarti–Cormode–McGregor scheme
+/// (plug-in entropy of the tracked heavy hitters plus analytic brackets on
+/// the untracked residual) computed over published façade views: every
 /// interval is computed from ONE `result_set` — a single snapshot of the
 /// sharded engine (the cached async-service view when enabled) — so the
 /// mass, error envelope and per-item counts can never straddle a republish.
@@ -18,13 +17,14 @@
 ///   residual entropy ≤ (R/N)·log2(N·m/R)        (equal-split maximum)
 ///   residual entropy ≥ (R/N)·log2(N/maxerr)     (each untracked ≤ maxerr)
 ///
-/// The seed's unit-weight bound m ≤ R only holds for plain counts; here m
-/// is additionally capped by the monitor's own raw update count, which is
+/// The unit-weight bound m ≤ R only holds for plain counts; here m is
+/// additionally capped by the monitor's own raw update count, which is
 /// valid under any lifetime policy (decay never mints new keys). A slack
 /// of k·(maxerr/N)·log2 N absorbs sketch error on the tracked plug-in term
-/// and is applied to BOTH endpoints (the seed subtracts it only from the
-/// lower bound; a dominant flow past 1/e makes the upper side fallible
-/// too, which is exactly the DDoS regime this monitor watches).
+/// and is applied to BOTH endpoints: subtracting it only from the lower
+/// bound would leave the upper side fallible once a dominant flow carries
+/// more than 1/e of the mass, which is exactly the DDoS regime this
+/// monitor watches.
 ///
 /// On top of the interval sits an EWMA-smoothed baseline: each observe()
 /// compares the point estimate against the baseline and raises `collapse`

@@ -148,13 +148,44 @@ TEST(ApiBuilder, InvalidCombinationsThrowPrecisely) {
     EXPECT_THROW(builder().fading(1.5).build(), std::invalid_argument);
 }
 
+// Every key-typed verb rejects the other kind, in both ingest modes: the
+// wrappers take the u64/text split from the sketch type at compile time.
 TEST(ApiBuilder, KeyKindMismatchThrows) {
-    auto ids = builder().max_counters(16).build();
-    EXPECT_THROW(ids.update("text", 1.0), std::invalid_argument);
-    EXPECT_THROW((void)ids.estimate("text"), std::invalid_argument);
-    auto words = builder().text_keys().max_counters(16).build();
-    EXPECT_THROW(words.update(std::uint64_t{1}, 1.0), std::invalid_argument);
-    EXPECT_THROW((void)words.estimate(std::uint64_t{1}), std::invalid_argument);
+    const update64 one{1, 1};
+    for (const bool sharded : {false, true}) {
+        SCOPED_TRACE(sharded ? "sharded" : "standalone");
+        builder ids_b;
+        builder words_b;
+        words_b.text_keys();
+        for (builder* b : {&ids_b, &words_b}) {
+            b->max_counters(16);
+            if (sharded) {
+                b->sharded(2);
+            }
+        }
+
+        auto ids = ids_b.build();
+        EXPECT_THROW(ids.update("text", 1.0), std::invalid_argument);
+        EXPECT_THROW((void)ids.estimate("text"), std::invalid_argument);
+        EXPECT_THROW((void)ids.lower_bound("text"), std::invalid_argument);
+        EXPECT_THROW((void)ids.upper_bound("text"), std::invalid_argument);
+        EXPECT_THROW(ids.make_feeder().push("text"), std::invalid_argument);
+
+        auto words = words_b.build();
+        EXPECT_THROW(words.update(std::uint64_t{1}, 1.0), std::invalid_argument);
+        EXPECT_THROW(words.update(std::span<const update64>(&one, 1)),
+                     std::invalid_argument);
+        EXPECT_THROW((void)words.estimate(std::uint64_t{1}), std::invalid_argument);
+        EXPECT_THROW((void)words.lower_bound(std::uint64_t{1}), std::invalid_argument);
+        EXPECT_THROW((void)words.upper_bound(std::uint64_t{1}), std::invalid_argument);
+        EXPECT_THROW(words.make_feeder().push(std::uint64_t{1}), std::invalid_argument);
+
+        // Rejected calls leave the summaries untouched.
+        ids.flush();
+        words.flush();
+        EXPECT_EQ(ids.total_weight(), 0.0);
+        EXPECT_EQ(words.total_weight(), 0.0);
+    }
 }
 
 TEST(ApiBuilder, WeightValidationAtTheFacadeBoundary) {

@@ -305,13 +305,20 @@ TEST(StreamEngineConcurrent, TotalWeightConservedWhileProducersMidFlight) {
 // For a fixed producer order the engine is deterministic: batching
 // boundaries and worker timing must not leak into the result. (Batched
 // update is semantically identical to element-wise update, rings are FIFO,
-// and keys are partitioned per shard.)
+// and keys are partitioned per shard.) At every shard count totals are
+// exact and bounds bracket the truth; one shard (seed + 0) is bit-identical
+// to a sequential sketch over the same stream.
 TEST(StreamEngineConcurrent, DeterministicForFixedProducerOrder) {
     const auto stream = zipf11_stream(100'000, 13);
-    auto run = [&] {
+    const sketch_config sketch{.max_counters = 128, .seed = 3};
+    exact_counter<std::uint64_t, std::uint64_t> exact;
+    exact.consume(stream);
+    sketch_u64 sequential(sketch);
+    sequential.consume(stream);
+    auto run = [&](std::uint32_t shards) {
         engine_config cfg;
-        cfg.num_shards = 4;
-        cfg.sketch = sketch_config{.max_counters = 128, .seed = 3};
+        cfg.num_shards = shards;
+        cfg.sketch = sketch;
         cfg.ring_capacity = 256;  // small ring: exercise backpressure too
         stream_engine<> engine(cfg);
         auto producer = engine.make_producer();
@@ -320,14 +327,22 @@ TEST(StreamEngineConcurrent, DeterministicForFixedProducerOrder) {
         engine.flush();
         return engine.snapshot();
     };
-    const auto a = run();
-    const auto b = run();
-    EXPECT_EQ(a.total_weight(), b.total_weight());
-    EXPECT_EQ(a.maximum_error(), b.maximum_error());
-    EXPECT_EQ(a.num_counters(), b.num_counters());
-    a.for_each([&](std::uint64_t id, std::uint64_t c) {
-        EXPECT_EQ(b.lower_bound(id), c) << id;
-    });
+    for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u, 16u}) {
+        SCOPED_TRACE(shards);
+        const auto a = run(shards);
+        const auto b = shards == 1 ? sequential : run(shards);
+        EXPECT_EQ(a.total_weight(), b.total_weight());
+        EXPECT_EQ(a.maximum_error(), b.maximum_error());
+        EXPECT_EQ(a.num_counters(), b.num_counters());
+        a.for_each([&](std::uint64_t id, std::uint64_t c) {
+            EXPECT_EQ(b.lower_bound(id), c) << id;
+        });
+        EXPECT_EQ(a.total_weight(), exact.total_weight());
+        for (const auto& [id, f] : exact.counts()) {
+            ASSERT_LE(a.lower_bound(id), f) << id;
+            ASSERT_GE(a.upper_bound(id), f) << id;
+        }
+    }
 }
 
 // Weighted heavy hitters survive sharding: the dominant key lands in one

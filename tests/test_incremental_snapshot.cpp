@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -261,8 +262,10 @@ TEST(IncrementalSnapshot, MatchesScratchFoldWindowed) {
         sketch_config{.max_counters = 1024, .seed = 13, .window_epochs = 3}, true);
 }
 
-/// TSan coverage: snapshots folding incrementally while producers ingest and
-/// the lifetime clock ticks. The final flushed snapshot must be exact.
+/// TSan coverage: snapshots folding incrementally while producers ingest.
+/// The producers start only once the reader has folded its first snapshot,
+/// so folds overlap ingest by construction. The final flushed snapshot must
+/// be exact.
 TEST(IncrementalSnapshot, ConcurrentSnapshotsDuringIngest) {
     engine_config cfg;
     cfg.num_shards = 4;
@@ -272,19 +275,22 @@ TEST(IncrementalSnapshot, ConcurrentSnapshotsDuringIngest) {
 
     constexpr std::uint64_t per_producer = 50'000;
     std::atomic<bool> done{false};
+    std::latch reader_started(1);
     std::vector<std::thread> producers;
     for (unsigned t = 0; t < 2; ++t) {
-        producers.emplace_back([&engine, t] {
+        producers.emplace_back([&engine, &reader_started, t] {
             auto p = engine.make_producer();
             xoshiro256ss rng(t + 1);
+            reader_started.wait();
             for (std::uint64_t i = 0; i < per_producer; ++i) {
                 p.push(rng.below(500), 1);
             }
             p.flush();
         });
     }
-    std::thread reader([&engine, &done] {
-        std::uint64_t last = 0;
+    std::thread reader([&engine, &done, &reader_started] {
+        std::uint64_t last = engine.snapshot().total_weight();
+        reader_started.count_down();
         while (!done.load(std::memory_order_acquire)) {
             const auto snap = engine.snapshot();
             const auto total = snap.total_weight();

@@ -55,6 +55,12 @@ TEST(TelemetryEntropy, IntervalContainsExactOnZipfStreams) {
         EXPECT_LE(iv.lower, iv.point) << "alpha=" << alpha;
         EXPECT_GE(iv.upper, iv.point) << "alpha=" << alpha;
         EXPECT_GT(iv.upper, 0.0) << "alpha=" << alpha;
+        // Skewed streams put most mass on tracked keys, so the residual
+        // bracket is tight enough to be informative.
+        if (alpha >= 1.5) {
+            EXPECT_LT(iv.upper - iv.lower, 8.0) << "alpha=" << alpha;
+            EXPECT_NEAR(iv.point, h, 3.0) << "alpha=" << alpha;
+        }
     }
 }
 
@@ -74,6 +80,54 @@ TEST(TelemetryEntropy, ExactWhenNothingEvicted) {
     EXPECT_NEAR(iv.lower, h, 1e-9);
     EXPECT_NEAR(iv.upper, h, 1e-9);
     EXPECT_NEAR(iv.point, h, 1e-9);
+}
+
+TEST(TelemetryEntropy, EmptyStreamIsZero) {
+    entropy_monitor mon(entropy_monitor_config{.max_counters = 64});
+    const entropy_interval iv = mon.estimate();
+    EXPECT_EQ(iv.lower, 0.0);
+    EXPECT_EQ(iv.upper, 0.0);
+    EXPECT_EQ(iv.point, 0.0);
+}
+
+TEST(TelemetryEntropy, SingleItemHasZeroEntropy) {
+    entropy_monitor mon(entropy_monitor_config{.max_counters = 64});
+    for (int i = 0; i < 1000; ++i) {
+        mon.update(42, 10.0);
+    }
+    mon.flush();
+    const entropy_interval iv = mon.estimate();
+    EXPECT_NEAR(iv.point, 0.0, 1e-9);
+    EXPECT_NEAR(iv.upper, 0.0, 1e-9);
+}
+
+TEST(TelemetryEntropy, UniformOverUItemsIsLogU) {
+    entropy_monitor mon(entropy_monitor_config{.max_counters = 512});
+    for (int round = 0; round < 50; ++round) {
+        for (std::uint64_t id = 0; id < 256; ++id) {
+            mon.update(id);
+        }
+    }
+    mon.flush();
+    EXPECT_NEAR(mon.estimate().point, 8.0, 1e-6);  // log2(256)
+}
+
+TEST(TelemetryEntropy, SkewReducesEntropy) {
+    auto point = [](double alpha) {
+        zipf_stream_generator gen({.num_updates = 100'000,
+                                   .num_distinct = 10'000,
+                                   .alpha = alpha,
+                                   .min_weight = 1,
+                                   .max_weight = 1,
+                                   .seed = 9});
+        entropy_monitor mon(entropy_monitor_config{.max_counters = 256});
+        for (const auto& u : gen.generate()) {
+            mon.update(u.id, static_cast<double>(u.weight));
+        }
+        mon.flush();
+        return mon.estimate().point;
+    };
+    EXPECT_GT(point(0.5), point(2.0));
 }
 
 TEST(TelemetryEntropy, IntervalContainsExactUnderFading) {

@@ -36,20 +36,18 @@ TEST(UmbrellaHeader, GenericAndStringAndSigned) {
     EXPECT_EQ(sg.estimate(3), 5);
 }
 
-TEST(UmbrellaHeader, ParallelSummarize) {
+TEST(UmbrellaHeader, ShardedSummarizer) {
     update_stream<std::uint64_t, std::uint64_t> stream{{1, 2}, {2, 3}, {1, 4}};
-    const auto s = parallel_summarize(stream, sketch_config{.max_counters = 8}, 2);
-    EXPECT_EQ(s.total_weight(), 9u);
+    auto s = builder().max_counters(8).sharded(2).build();
+    s.update(std::span<const update64>(stream.data(), stream.size()));
+    s.flush();
+    EXPECT_EQ(s.total_weight(), 9.0);
 }
 
 TEST(UmbrellaHeader, Applications) {
     hhh::hierarchical_heavy_hitters h({.levels = {24}, .counters_per_level = 8});
     h.update(0x0a000001, 100);
     EXPECT_EQ(h.total_weight(), 100u);
-
-    entropy_estimator e(16);
-    e.update(1, 4);
-    EXPECT_GE(e.estimate().upper, 0.0);
 }
 
 TEST(UmbrellaHeader, StreamsAndMetrics) {
