@@ -8,6 +8,8 @@
 ///  * error grows slowly up to q ≈ 0.7, then shoots up;
 ///  * the sample median (q = 0.5) is an attractive point on the curve.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <vector>
 
@@ -32,8 +34,9 @@ struct sweep_point {
 }  // namespace
 
 int main() {
-    // A shorter stream than Figs. 1-2: the sweep runs 50 quantiles x 3 k's,
-    // and the low quantiles are deliberately slow (that is the finding).
+    // A shorter stream than Figs. 1-2: the sweep runs 50 quantiles x 3 k's
+    // x 3 passes, and the low quantiles are deliberately slow (that is the
+    // finding).
     caida_like_generator gen({
         .num_updates = scaled(2'000'000),
         .num_flows = scaled(200'000),
@@ -55,12 +58,21 @@ int main() {
         std::vector<sweep_point> points;
         for (int q100 = 0; q100 <= 98; q100 += 2) {  // 50 variations (§4.4)
             const double q = q100 / 100.0;
-            sketch_u64 algo(
-                sketch_config{.max_counters = k, .decrement_quantile = q, .seed = 1});
-            stopwatch sw;
-            algo.consume(stream);
-            const double secs = sw.seconds();
-            const double err = evaluate_errors(algo, exact).max_error;
+            // Runtime is the median of three passes, each a fresh sketch on
+            // the same stream, so one noisy pass cannot decide a claim. The
+            // seed is fixed, so every pass builds the same sketch and error.
+            std::array<double, 3> passes{};
+            double err = 0.0;
+            for (double& secs : passes) {
+                sketch_u64 algo(
+                    sketch_config{.max_counters = k, .decrement_quantile = q, .seed = 1});
+                stopwatch sw;
+                algo.consume(stream);
+                secs = sw.seconds();
+                err = evaluate_errors(algo, exact).max_error;
+            }
+            std::sort(passes.begin(), passes.end());
+            const double secs = passes[1];
             points.push_back({q, secs, err});
             std::printf("%9.2f  %10.3f  %11.4g\n", q, secs, err);
         }

@@ -9,13 +9,13 @@
 /// every update costs O(1) worst case and touches a bounded number of
 /// memory locations — the property switch hardware needs — at the price of
 /// weaker error guarantees than SMED (§5: "may have larger error than our
-/// proposals", which the Fig. 2-style comparison in the benches quantifies).
+/// proposals"). No bench compares it; only tests/test_rap_space_saving.cpp
+/// exercises it.
 ///
-/// The paper leaves the detailed comparison to future work; we implement it
-/// so that comparison exists. Interpretation notes: the sample minimum is
-/// the natural reading of "this counter" in §5 (matching SS, which evicts
-/// the global minimum), and untracked items estimate 0 since no global
-/// minimum is maintained.
+/// The paper leaves the detailed comparison to future work. Interpretation
+/// notes: the sample minimum is the natural reading of "this counter" in §5
+/// (matching SS, which evicts the global minimum), and untracked items
+/// estimate 0 since no global minimum is maintained.
 
 #include <cstdint>
 

@@ -117,17 +117,18 @@ public:
 
     /// Batched fast path: processes a whole run of updates with the
     /// per-call bookkeeping hoisted out of the loop — total weight
-    /// accumulates in a register and is folded into the sketch once, and
-    /// table probes run in blocks through counter_table::find_batch, which
-    /// issues every home-slot prefetch for a block up front and then group-
-    /// probes each key (four slots per compare under the SIMD layout), so
+    /// accumulates in a register and is stored back once, and table probes
+    /// run in blocks through counter_table::find_batch, which issues every
+    /// home-slot prefetch for a block up front and then probes each key, so
     /// the block's cache misses overlap instead of serializing. Tracked
     /// keys — the overwhelming case on heavy-hitter workloads — then bump
     /// their counter through the already-resolved pointer; misses take the
     /// ordinary ingest path. Semantically identical to calling
     /// update(id, weight) for each element in order (same table state, same
-    /// RNG consumption); this is the path the sharded engine's workers
-    /// drain ring batches through.
+    /// RNG consumption, and the same total: the register starts at the
+    /// current total and adds each weight in stream order, so a real-valued
+    /// total does not depend on where a stream is split into batches); this
+    /// is the path the sharded engine's workers drain ring batches through.
     void update(std::span<const freq::update<K, W>> batch) {
         // Validate the whole batch before touching any state, so a rejected
         // weight cannot leave the sketch with counters not yet reflected in
@@ -140,7 +141,7 @@ public:
         }
         static constexpr std::size_t block = 16;
         const std::size_t n = batch.size();
-        W added{0};
+        W total = total_weight_;
         std::array<K, block> ids;
         std::array<W*, block> hits;
         for (std::size_t base = 0; base < n; base += block) {
@@ -171,7 +172,7 @@ public:
                 if constexpr (LifetimePolicy::decaying) {
                     weight = static_cast<W>(weight * policy_.inflation());
                 }
-                added += weight;
+                total += weight;
                 W* c = hits[j];
                 if (c != nullptr && num_decrements_ == decs) {
                     *c += weight;
@@ -180,7 +181,7 @@ public:
                 }
             }
         }
-        total_weight_ += added;
+        total_weight_ = total;
     }
 
     void consume(const update_stream<K, W>& stream) {

@@ -22,33 +22,10 @@
 /// already been re-placed, and re-probing from the preferred slot restores
 /// the linear-probing reachability invariant.
 ///
-/// The probe loops and the decrement sweep are written against the
-/// freq::simd group primitives (common/simd.h): with an ISA compiled in,
-/// find/upsert take probe_prefix scalar steps (the common short-probe case,
-/// where one compare beats the group step's fixed mask cost) and then
-/// compare four consecutive slots per step, and decrement_all
-/// subtracts-and-tests four counters per step over the parallel
-/// values_/states_ arrays. The power-of-two slot array needs no padding —
-/// group steps run while a whole group fits before the array end and fall
-/// back to single-slot steps for the (at most three) slots at the wrap.
-/// The UseSimd template parameter exists so one binary can instantiate both
-/// layouts; tests/test_simd_parity.cpp checks they produce bit-identical
-/// tables, and the micro_table bench measures the spread.
-///
-/// Group-probe correctness notes:
-///   * the empty-lane mask is exact, so a key match in a lane whose empty
-///     bit is clear is a genuine live match;
-///   * a *stale* key (left behind by an erase or eviction) can only match in
-///     a lane whose empty bit is set, and the probe takes the lowest
-///     eventful lane with empty-beats-match, so a stale match at or after
-///     the first empty lane is never taken — the probe misses there, exactly
-///     like the scalar loop.
-///
 /// At 8-byte keys, 8-byte values and 2-byte states the table costs
 /// 18 * ceil_pow2(4k/3) bytes — the paper's "24k bytes" figure when 4k/3
 /// lands on a power of two.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -56,23 +33,11 @@
 
 #include "common/bits.h"
 #include "common/contracts.h"
-#include "common/simd.h"
 #include "hashing/hash.h"
-
-/// Keeps the group-probe tails out of the inlined fast paths: find/upsert
-/// resolve most probes within the scalar prefix, and inlining the (much
-/// larger) group loops next to that code measurably slows the short-probe
-/// case down.
-#if defined(__GNUC__) || defined(__clang__)
-#define FREQ_TABLE_NOINLINE __attribute__((noinline))
-#else
-#define FREQ_TABLE_NOINLINE
-#endif
 
 namespace freq {
 
-template <typename K = std::uint64_t, typename W = std::uint64_t,
-          bool UseSimd = simd::enabled>
+template <typename K = std::uint64_t, typename W = std::uint64_t>
 class counter_table {
     static_assert(std::is_integral_v<K> && sizeof(K) <= 8,
                   "counter_table keys are integral identifiers (fingerprint other types)");
@@ -82,23 +47,6 @@ public:
     using key_type = K;
     using weight_type = W;
     using state_type = std::uint16_t;
-
-    /// True when find/upsert use the 4-lane group probe (needs 8-byte keys).
-    static constexpr bool group_probe = UseSimd && sizeof(K) == 8;
-    /// True when decrement_all uses the 4-lane subtract-and-test sweep.
-    static constexpr bool group_sweep = UseSimd && simd::sweepable_weight<W>;
-    /// Scalar probe steps taken before entering the group loop. At load
-    /// factor <= 3/4 most probes resolve within the first few slots, where
-    /// one compare-and-branch beats the group step's fixed mask cost; the
-    /// group loop takes over for the long-cluster tail it is built for.
-    static constexpr std::uint32_t probe_prefix = 4;
-    /// The group sweep pays off once the parallel arrays spill past the
-    /// fast cache levels, where its wide loads overlap memory latency;
-    /// below this many bytes the scalar per-slot sweep's simple loop wins
-    /// (measured in bench/micro_table.cpp) and decrement_all uses it even
-    /// when group_sweep is compiled in. Results are bit-identical either
-    /// way — this picks a code path, not a semantic.
-    static constexpr std::size_t sweep_bytes_threshold = 256 * 1024;
 
     /// \param max_items  k — the largest number of simultaneously tracked
     ///                   counters; the slot array is sized ceil_pow2(4k/3).
@@ -141,20 +89,6 @@ public:
     /// Pointer to the counter for \p key, or nullptr when untracked.
     const W* find(K key) const noexcept {
         std::uint32_t idx = home_slot(key);
-        if constexpr (group_probe) {
-            if (num_slots_ >= simd::group) {
-                for (std::uint32_t i = 0; i < probe_prefix; ++i) {
-                    if (states_[idx] == 0) {
-                        return nullptr;
-                    }
-                    if (keys_[idx] == key) {
-                        return &values_[idx];
-                    }
-                    idx = (idx + 1) & mask_;
-                }
-                return find_group_tail(key, idx);
-            }
-        }
         while (states_[idx] != 0) {
             if (keys_[idx] == key) {
                 return &values_[idx];
@@ -170,10 +104,9 @@ public:
 
     /// Probes a block of keys, writing results[i] = counter pointer for
     /// keys[i] or nullptr when untracked. Issues the home-slot prefetches for
-    /// the whole block up front, then probes each key (four slots per step
-    /// under the group layout), so the block's probe cache misses overlap
-    /// instead of serializing — the batched sketch update path feeds its
-    /// spans through here in blocks.
+    /// the whole block up front, then probes each key, so the block's probe
+    /// cache misses overlap instead of serializing — the batched sketch
+    /// update path feeds its spans through here in blocks.
     ///
     /// The returned pointers obey the same invalidation rule as find():
     /// upsert never moves entries (the arrays never reallocate), only
@@ -216,22 +149,6 @@ public:
     bool upsert(K key, W weight) {
         const std::uint32_t home = home_slot(key);
         std::uint32_t idx = home;
-        if constexpr (group_probe) {
-            if (num_slots_ >= simd::group) {
-                for (std::uint32_t i = 0; i < probe_prefix; ++i) {
-                    if (states_[idx] == 0) {
-                        insert_at(idx, home, key, weight);
-                        return true;
-                    }
-                    if (keys_[idx] == key) {
-                        values_[idx] += weight;
-                        return false;
-                    }
-                    idx = (idx + 1) & mask_;
-                }
-                return upsert_group_tail(key, home, idx, weight);
-            }
-        }
         while (states_[idx] != 0) {
             if (keys_[idx] == key) {
                 values_[idx] += weight;
@@ -251,18 +168,6 @@ public:
     /// previous decrement (or erase) left empty rather than by scanning from
     /// slot 0 — on a near-full table whose front is one long cluster the
     /// old scan was O(cluster) extra work per decrement.
-    ///
-    /// Group fast path: within a cluster where no counter has been evicted
-    /// yet, survivors re-place to the slot they already occupy (every slot
-    /// between their preferred slot and their current one was occupied
-    /// before the sweep and was re-placed identically), so a group of four
-    /// occupied, all-surviving slots in such a cluster reduces to one
-    /// 4-lane vector subtract with keys and states untouched. Any empty
-    /// lane, dying lane, or earlier eviction in the cluster drops to the
-    /// scalar vacate-and-re-place step. A slot found empty *at sweep time*
-    /// is empty in its original state (re-placements never land ahead of
-    /// the sweep cursor), so it resets the eviction flag exactly like the
-    /// empty slots the scalar argument relies on.
     std::uint32_t decrement_all(W amount) {
         if (num_active_ == 0) {
             return 0;
@@ -276,17 +181,13 @@ public:
             ++scanned;
             FREQ_EXPECTS(scanned <= num_slots_);
         }
-        std::uint32_t erased;
-        if constexpr (group_sweep) {
-            // The two sweep instantiations produce bit-identical tables;
-            // the threshold only picks whichever is faster for this size.
-            if (memory_bytes() >= sweep_bytes_threshold) {
-                erased = sweep_pass<true>(start, amount);
-            } else {
-                erased = sweep_pass<false>(start, amount);
+        std::uint32_t erased = 0;
+        std::uint32_t idx = (start + 1) & mask_;
+        for (std::uint32_t step = 1; step < num_slots_; ++step) {
+            if (states_[idx] != 0) {
+                sweep_occupied(idx, amount, erased);
             }
-        } else {
-            erased = sweep_pass<false>(start, amount);
+            idx = (idx + 1) & mask_;
         }
         // The start slot was empty before the sweep and no re-placement can
         // reach it (its original probe paths never crossed it), so it is
@@ -382,137 +283,6 @@ public:
     }
 
 private:
-    /// Group-probe continuation of find() once the scalar prefix is
-    /// exhausted. Kept out of line so find()'s short-probe fast path stays
-    /// small enough to inline into callers — long probes are the rare case
-    /// and absorb the call overhead.
-    FREQ_TABLE_NOINLINE
-    const W* find_group_tail(K key, std::uint32_t idx) const noexcept {
-        for (;;) {
-            if (idx + simd::group <= num_slots_) {
-                const std::uint32_t empty = simd::empty_mask4(&states_[idx]);
-                const std::uint32_t match = simd::match_mask4(&keys_[idx], key);
-                const std::uint32_t events = empty | match;
-                if (events != 0) {
-                    const std::uint32_t lane =
-                        static_cast<std::uint32_t>(std::countr_zero(events));
-                    if ((empty >> lane) & 1u) {
-                        return nullptr;
-                    }
-                    return &values_[idx + lane];
-                }
-                idx += simd::group;
-                if (idx == num_slots_) {
-                    idx = 0;
-                }
-            } else {
-                if (states_[idx] == 0) {
-                    return nullptr;
-                }
-                if (keys_[idx] == key) {
-                    return &values_[idx];
-                }
-                idx = (idx + 1) & mask_;
-            }
-        }
-    }
-
-    /// Group-probe continuation of upsert(). Unlike find_group_tail this is
-    /// left inlinable: forcing it out of line makes the call site spill the
-    /// caller's hot registers around the (rarely taken) call, which measures
-    /// worse than carrying the group loop inline.
-    bool upsert_group_tail(K key, std::uint32_t home, std::uint32_t idx, W weight) {
-        for (;;) {
-            if (idx + simd::group <= num_slots_) {
-                const std::uint32_t empty = simd::empty_mask4(&states_[idx]);
-                const std::uint32_t match = simd::match_mask4(&keys_[idx], key);
-                const std::uint32_t events = empty | match;
-                if (events != 0) {
-                    const std::uint32_t lane =
-                        static_cast<std::uint32_t>(std::countr_zero(events));
-                    const std::uint32_t slot = idx + lane;
-                    if ((empty >> lane) & 1u) {
-                        insert_at(slot, home, key, weight);
-                        return true;
-                    }
-                    values_[slot] += weight;
-                    return false;
-                }
-                idx += simd::group;
-                if (idx == num_slots_) {
-                    idx = 0;
-                }
-            } else {
-                if (states_[idx] == 0) {
-                    insert_at(idx, home, key, weight);
-                    return true;
-                }
-                if (keys_[idx] == key) {
-                    values_[idx] += weight;
-                    return false;
-                }
-                idx = (idx + 1) & mask_;
-            }
-        }
-    }
-
-    /// The decrement sweep proper, from the empty slot \p start all the way
-    /// around the array. Templated on the group fast path so the scalar
-    /// instantiation carries no per-iteration test for it — decrement_all
-    /// dispatches on the size threshold.
-    template <bool Group>
-    std::uint32_t sweep_pass(std::uint32_t start, W amount) {
-        std::uint32_t erased = 0;
-        std::uint32_t idx = (start + 1) & mask_;
-        std::uint32_t step = 1;
-        // True when a counter has been evicted since the last slot the sweep
-        // found empty: survivors beyond it may shift backward, so the group
-        // subtract-in-place shortcut is off until the next empty slot.
-        bool cluster_dirty = false;
-        while (step < num_slots_) {
-            if constexpr (Group) {
-                if (idx + simd::group <= num_slots_ &&
-                    step + simd::group <= num_slots_) {
-                    const std::uint32_t empty = simd::empty_mask4(&states_[idx]);
-                    if (!cluster_dirty && empty == 0 &&
-                        simd::le_mask4(&values_[idx], amount) == 0) {
-                        simd::sub4(&values_[idx], amount);
-                    } else {
-                        // Dispatch all four lanes off the one mask instead of
-                        // re-reading states slot by slot: re-placements made
-                        // while processing the group probe from the key's
-                        // preferred slot and end at or before the slot just
-                        // vacated, never ahead of the cursor, so a lane's
-                        // cached empty bit stays valid until that lane is
-                        // processed.
-                        for (std::uint32_t lane = 0; lane < simd::group; ++lane) {
-                            if ((empty >> lane) & 1u) {
-                                cluster_dirty = false;
-                            } else {
-                                sweep_occupied(idx + lane, amount, cluster_dirty,
-                                               erased);
-                            }
-                        }
-                    }
-                    idx += simd::group;
-                    if (idx == num_slots_) {
-                        idx = 0;
-                    }
-                    step += simd::group;
-                    continue;
-                }
-            }
-            if (states_[idx] == 0) {
-                cluster_dirty = false;
-            } else {
-                sweep_occupied(idx, amount, cluster_dirty, erased);
-            }
-            idx = (idx + 1) & mask_;
-            ++step;
-        }
-        return erased;
-    }
-
     void insert_at(std::uint32_t slot, std::uint32_t home, K key, W weight) {
         const std::uint32_t dist = (slot - home) & mask_;
         FREQ_EXPECTS(num_active_ < max_items_);
@@ -528,15 +298,13 @@ private:
     /// preferred slot. Every occupied slot this probe can traverse has
     /// already been processed, so the probe ends at or before the slot just
     /// vacated. Compare before subtracting: unsigned weights must not wrap.
-    void sweep_occupied(std::uint32_t idx, W amount, bool& cluster_dirty,
-                        std::uint32_t& erased) {
+    void sweep_occupied(std::uint32_t idx, W amount, std::uint32_t& erased) {
         const K key = keys_[idx];
         const W value = values_[idx];
         states_[idx] = 0;
         if (value <= amount) {
             --num_active_;
             ++erased;
-            cluster_dirty = true;
         } else {
             const W remaining = value - amount;
             std::uint32_t target = home_slot(key);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -16,8 +19,8 @@ using table_u64 = counter_table<std::uint64_t, std::uint64_t>;
 /// Structural invariant of §2.3.3: every occupied slot's state equals its
 /// probe distance + 1, and the probe path from the key's preferred slot to
 /// its current slot contains no empty cell (reachability).
-template <typename K, typename W, bool UseSimd>
-void check_invariants(const counter_table<K, W, UseSimd>& t) {
+template <typename K, typename W>
+void check_invariants(const counter_table<K, W>& t) {
     std::uint32_t active = 0;
     for (std::uint32_t s = 0; s < t.num_slots(); ++s) {
         if (!t.slot_occupied(s)) {
@@ -281,30 +284,64 @@ TEST(CounterTable, ScaleAllUnderflowCompactsInOnePass) {
     check_invariants(t);
 }
 
+TEST(CounterTable, FindBatchAgreesWithFind) {
+    table_u64 t(512, 9);
+    xoshiro256ss rng(77);
+    for (int i = 0; i < 400; ++i) {
+        t.upsert(rng.below(1000), rng.between(1, 9));
+    }
+    std::uint64_t keys[33];
+    std::uint64_t* results[33];
+    for (int round = 0; round < 2'000; ++round) {
+        const std::size_t n = 1 + rng.below(33);
+        for (std::size_t i = 0; i < n; ++i) {
+            keys[i] = rng.below(2000);  // ~half absent
+        }
+        t.find_batch(keys, n, results);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(results[i], t.find(keys[i])) << "key " << keys[i];
+        }
+        if (results[0] != nullptr) {
+            // probe_length_of must agree with the structural state.
+            const auto state = t.probe_length_of(results[0]);
+            ASSERT_GE(state, 1u);
+        }
+    }
+}
+
 // Fuzz the full operation mix against a std::unordered_map oracle, checking
 // structural invariants as we go. This is the key correctness argument for
-// the in-place decrement-and-compact pass.
-class CounterTableFuzz : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(CounterTableFuzz, MatchesOracleUnderRandomOperations) {
-    const std::uint32_t k = GetParam();
-    table_u64 t(k);
-    std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+// the in-place decrement-and-compact pass. Real-valued weights also mix in
+// scale_all; the oracle applies the same floating-point operations to each
+// key in the same order, so counters must match exactly.
+template <typename W>
+void fuzz_against_oracle(std::uint32_t k) {
+    constexpr bool real = std::is_floating_point_v<W>;
+    counter_table<std::uint64_t, W> t(k);
+    std::unordered_map<std::uint64_t, W> oracle;
     xoshiro256ss rng(k * 1234567 + 1);
     // Keys drawn from a small pool force collisions and long probe runs.
     const std::uint64_t key_pool = k * 2 + 3;
+    // Real weights get a fractional part so sums and differences round.
+    const auto draw = [&](std::uint64_t hi) {
+        W w = static_cast<W>(rng.between(1, hi));
+        if constexpr (real) {
+            w += static_cast<W>(rng.unit_real());
+        }
+        return w;
+    };
 
     for (int step = 0; step < 30'000; ++step) {
         const auto op = rng.below(100);
         if (op < 70) {  // upsert
             const std::uint64_t key = rng.below(key_pool);
-            const std::uint64_t w = rng.between(1, 50);
+            const W w = draw(50);
             if (oracle.count(key) != 0 || oracle.size() < k) {
                 t.upsert(key, w);
                 oracle[key] += w;
             }
         } else if (op < 85) {  // decrement_all
-            const std::uint64_t amount = rng.between(1, 30);
+            const W amount = draw(30);
             const auto erased = t.decrement_all(amount);
             std::size_t oracle_erased = 0;
             for (auto it = oracle.begin(); it != oracle.end();) {
@@ -320,11 +357,20 @@ TEST_P(CounterTableFuzz, MatchesOracleUnderRandomOperations) {
         } else if (op < 95) {  // erase
             const std::uint64_t key = rng.below(key_pool);
             ASSERT_EQ(t.erase(key), oracle.erase(key) > 0) << "step " << step;
+        } else if (real && op < 97) {  // scale_all
+            if constexpr (real) {
+                const double factor = static_cast<double>(rng.between(1, 48)) / 32.0;
+                t.scale_all(factor);
+                for (auto it = oracle.begin(); it != oracle.end();) {
+                    it->second = static_cast<W>(it->second * factor);
+                    it = it->second > W{0} ? std::next(it) : oracle.erase(it);
+                }
+            }
         } else {  // point lookups
             for (int probe = 0; probe < 5; ++probe) {
                 const std::uint64_t key = rng.below(key_pool);
                 const auto it = oracle.find(key);
-                const std::uint64_t* found = t.find(key);
+                const W* found = t.find(key);
                 if (it == oracle.end()) {
                     ASSERT_EQ(found, nullptr) << "step " << step;
                 } else {
@@ -342,14 +388,29 @@ TEST_P(CounterTableFuzz, MatchesOracleUnderRandomOperations) {
     check_invariants(t);
     ASSERT_EQ(t.size(), oracle.size());
     for (const auto& [key, w] : oracle) {
-        const std::uint64_t* found = t.find(key);
+        const W* found = t.find(key);
         ASSERT_NE(found, nullptr);
         EXPECT_EQ(*found, w);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Capacities, CounterTableFuzz,
-                         ::testing::Values(1, 2, 3, 8, 31, 64, 257, 1024));
+/// (capacity k, real-valued weights)
+class CounterTableFuzz
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool>> {};
+
+TEST_P(CounterTableFuzz, MatchesOracleUnderRandomOperations) {
+    const auto [k, real] = GetParam();
+    if (real) {
+        fuzz_against_oracle<double>(k);
+    } else {
+        fuzz_against_oracle<std::uint64_t>(k);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, CounterTableFuzz,
+    ::testing::Combine(::testing::Values(1, 2, 3, 8, 31, 64, 257, 1024),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace freq

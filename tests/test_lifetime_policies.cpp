@@ -17,6 +17,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -244,6 +246,47 @@ TEST(FadingPolicy, BulkTickMatchesSingleTicks) {
                     1e-9 * (1.0 + stepped.estimate(id)))
             << id;
     }
+}
+
+// The span path must leave the same real-valued total as item-by-item
+// updates, bit for bit, however the stream is cut into spans: a sharded
+// engine drains its ring in timing-dependent batches, and saved envelopes
+// must not depend on that timing.
+TEST(FadingPolicy, TotalWeightBitsIndependentOfSpanSplits) {
+    const sketch_config cfg{.max_counters = 128, .seed = 4, .decay = 0.9};
+    fading_f64 whole(cfg);
+    fading_f64 split(cfg);
+    fading_f64 items(cfg);
+    xoshiro256ss rng(31);
+    zipf_distribution zipf(5'000, 1.1);
+    update_stream<std::uint64_t, double> epoch;
+    for (int e = 0; e < 8; ++e) {
+        epoch.clear();
+        for (int i = 0; i < 20'000; ++i) {
+            epoch.push_back({zipf(rng), 1.0 + 20.0 * rng.unit_real()});
+        }
+        const std::span<const update<std::uint64_t, double>> all(epoch.data(),
+                                                                  epoch.size());
+        whole.update(all);
+        for (std::size_t at = 0; at < all.size();) {
+            const std::size_t n = std::min<std::size_t>(1 + rng.below(700), all.size() - at);
+            split.update(all.subspan(at, n));
+            at += n;
+        }
+        for (const auto& u : epoch) {
+            items.update(u.id, u.weight);
+        }
+        whole.tick();
+        split.tick();
+        items.tick();
+    }
+    ASSERT_GT(items.num_decrements(), 0u);
+    const double totals[3] = {whole.total_weight(), split.total_weight(),
+                              items.total_weight()};
+    EXPECT_EQ(std::memcmp(&totals[0], &totals[2], sizeof(double)), 0)
+        << totals[0] << " vs " << totals[2];
+    EXPECT_EQ(std::memcmp(&totals[1], &totals[2], sizeof(double)), 0)
+        << totals[1] << " vs " << totals[2];
 }
 
 // A jump so large that rho^epochs underflows decays every counter below any
