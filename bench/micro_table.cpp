@@ -72,7 +72,7 @@ void BM_FindMiss(benchmark::State& state) {
 }
 
 void BM_FindBatch16(benchmark::State& state) {
-    // The block shape the batched sketch update feeds through find_batch:
+    // The block shape perfbench's table layer feeds through find_batch:
     // 16 keys, ~half hits, prefetches issued up front.
     constexpr std::size_t block = 16;
     const auto k = static_cast<std::uint32_t>(state.range(0));

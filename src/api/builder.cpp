@@ -345,7 +345,7 @@ public:
         if constexpr (text_keyed<Sketch>) {
             wrong_key_kind<Sketch>();
         } else if constexpr (std::is_same_v<W, std::uint64_t> && !map_backed<Sketch>) {
-            sketch_.update(batch);  // the template layer's prefetching span path
+            sketch_.update(batch);  // the template layer's span path
         } else {
             for (const auto& u : batch) {
                 sketch_.update(u.id, facade_weight<W>(static_cast<double>(u.weight)));

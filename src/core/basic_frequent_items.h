@@ -24,7 +24,6 @@
 /// SPSC-ring/batched-drain path.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -115,20 +114,15 @@ public:
     /// Unit-weight convenience overload.
     void update(K id) { update(id, W{1}); }
 
-    /// Batched fast path: processes a whole run of updates with the
-    /// per-call bookkeeping hoisted out of the loop — total weight
-    /// accumulates in a register and is stored back once, and table probes
-    /// run in blocks through counter_table::find_batch, which issues every
-    /// home-slot prefetch for a block up front and then probes each key, so
-    /// the block's cache misses overlap instead of serializing. Tracked
-    /// keys — the overwhelming case on heavy-hitter workloads — then bump
-    /// their counter through the already-resolved pointer; misses take the
-    /// ordinary ingest path. Semantically identical to calling
-    /// update(id, weight) for each element in order (same table state, same
-    /// RNG consumption, and the same total: the register starts at the
-    /// current total and adds each weight in stream order, so a real-valued
-    /// total does not depend on where a stream is split into batches); this
-    /// is the path the sharded engine's workers drain ring batches through.
+    /// Batched ingest: validates the whole batch, then runs each element
+    /// through the same ingest step as update(id, weight), with the total
+    /// weight kept in a register and stored back once. The register starts
+    /// at the current total and adds each weight in stream order, so a
+    /// real-valued total does not depend on where a stream is split into
+    /// batches. Semantically identical to calling update(id, weight) for each
+    /// element in order (same table state, same RNG consumption, same total);
+    /// this is the path the sharded engine's workers drain ring batches
+    /// through.
     void update(std::span<const freq::update<K, W>> batch) {
         // Validate the whole batch before touching any state, so a rejected
         // weight cannot leave the sketch with counters not yet reflected in
@@ -139,47 +133,17 @@ public:
                 FREQ_REQUIRE(u.weight >= W{0}, "update weights must be non-negative");
             }
         }
-        static constexpr std::size_t block = 16;
-        const std::size_t n = batch.size();
         W total = total_weight_;
-        std::array<K, block> ids;
-        std::array<W*, block> hits;
-        for (std::size_t base = 0; base < n; base += block) {
-            const std::size_t m = std::min(block, n - base);
-            for (std::size_t j = 0; j < m; ++j) {
-                ids[j] = batch[base + j].id;
+        for (const auto& u : batch) {
+            W weight = u.weight;
+            if (weight == W{0}) {
+                continue;
             }
-            table_.find_batch(ids.data(), m, hits.data());
-            // One probe-length sample per block keeps the histogram honest
-            // about clustering without a per-item record on the hot path.
-            for (std::size_t j = 0; j < m; ++j) {
-                if (hits[j] != nullptr) {
-                    obs::pipeline().table_probe_length.record(
-                        table_.probe_length_of(hits[j]) - 1u);
-                    break;
-                }
+            if constexpr (LifetimePolicy::decaying) {
+                weight = static_cast<W>(weight * policy_.inflation());
             }
-            // The resolved pointers stay valid across upserts (the table
-            // never reallocates) but not across a decrement round, which
-            // compacts entries in place — fall back to ingest() for the
-            // rest of the block if one fires.
-            const std::uint64_t decs = num_decrements_;
-            for (std::size_t j = 0; j < m; ++j) {
-                W weight = batch[base + j].weight;
-                if (weight == W{0}) {
-                    continue;
-                }
-                if constexpr (LifetimePolicy::decaying) {
-                    weight = static_cast<W>(weight * policy_.inflation());
-                }
-                total += weight;
-                W* c = hits[j];
-                if (c != nullptr && num_decrements_ == decs) {
-                    *c += weight;
-                } else {
-                    ingest(ids[j], weight);
-                }
-            }
+            total += weight;
+            ingest(u.id, weight);
         }
         total_weight_ = total;
     }
@@ -427,9 +391,18 @@ protected:
 
     /// Algorithm 4's Update(), minus N bookkeeping (merge() feeds raw
     /// counters through this path without double-counting stream weight).
-    /// The admission skeleton is the shared claim_or_reduce; only the c*
+    /// A tracked id bumps its counter here; every 16th such hit records its
+    /// probe length, read from the slot find() already resolved. An
+    /// untracked id takes the shared claim_or_reduce skeleton; only the c*
     /// selection (sampled quantile over table slots) lives here.
     void ingest(K id, W weight) {
+        if (W* c = table_.find(id)) {
+            *c += weight;
+            if ((++hits_ & 15u) == 0) {
+                obs::pipeline().table_probe_length.record(table_.probe_length_of(c) - 1u);
+            }
+            return;
+        }
         detail::claim_or_reduce(table_, id, weight, [&] { return decrement_counters(); });
     }
 
@@ -471,6 +444,7 @@ protected:
     W offset_{0};
     W total_weight_{0};
     std::uint64_t num_decrements_ = 0;
+    std::uint32_t hits_ = 0;  ///< tracked hits, for probe-length sampling only
     [[no_unique_address]] LifetimePolicy policy_{};
 };
 

@@ -14,13 +14,14 @@
 /// changes.
 ///
 /// `claim_or_reduce` is the one maintenance step every *counter-based*
-/// summary shares — Algorithm 4's Update() skeleton: increment the item's
-/// counter if tracked, claim a free counter if one exists, otherwise
-/// reduce every counter by some c* and admit the remainder when it is
-/// positive. The variants differ only in storage (parallel-array
-/// counter_table vs. node-based map) and in how c* is chosen (sampled
-/// quantile vs. exact median) — both are injected, so the admission logic
-/// exists exactly once.
+/// summary shares — Algorithm 4's Update() skeleton for an untracked item:
+/// claim a free counter if one exists, otherwise reduce every counter by
+/// some c* and admit the remainder when it is positive. (Callers bump a
+/// tracked item's counter themselves, so that one-probe hit path inlines
+/// into their update loops.) The variants differ only in storage
+/// (parallel-array counter_table vs. node-based map) and in how c* is
+/// chosen (sampled quantile vs. exact median) — both are injected, so the
+/// admission logic exists exactly once.
 ///
 /// Each reduce() invocation is also counted on the process-wide telemetry
 /// registry (freq_sketch_decrement_rounds_total): decrement rounds are the
@@ -105,17 +106,13 @@ inline constexpr bool merge_requires_equal_seeds_v = [] {
 
 namespace freq::detail {
 
-/// \param store   counter storage providing find(id) -> W* (nullptr when
-///                untracked), full(), and upsert(id, w) for absent ids.
+/// \param store   counter storage providing full() and upsert(id, w) for
+///                absent ids; \p id must not be tracked.
 /// \param reduce  invoked only when the store is full; must subtract some
 ///                c* > 0 from every counter, erase the non-positive ones,
 ///                and return c*.
 template <typename Store, typename K, typename W, typename Reduce>
 void claim_or_reduce(Store& store, const K& id, W weight, Reduce&& reduce) {
-    if (W* c = store.find(id)) {
-        *c += weight;
-        return;
-    }
     if (!store.full()) {
         store.upsert(id, weight);
         return;

@@ -247,21 +247,21 @@ private:
     }
 
     /// Adapts the node-based map to the storage concept of the shared
-    /// maintenance skeleton (core/counter_maintenance.h): find / full /
+    /// maintenance skeleton (core/counter_maintenance.h): full /
     /// upsert-of-absent-id.
     struct map_store {
         std::unordered_map<T, W, Hash, Equal>& counters;
         std::uint32_t max_counters;
 
-        W* find(const T& item) {
-            const auto it = counters.find(item);
-            return it == counters.end() ? nullptr : &it->second;
-        }
         bool full() const { return counters.size() >= max_counters; }
         void upsert(const T& item, W weight) { counters.emplace(item, weight); }
     };
 
     void ingest(const T& item, W weight) {
+        if (const auto it = counters_.find(item); it != counters_.end()) {
+            it->second += weight;
+            return;
+        }
         map_store store{counters_, cfg_.max_counters};
         detail::claim_or_reduce(store, item, weight, [&] { return decrement_counters(); });
     }

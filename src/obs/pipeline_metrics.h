@@ -119,7 +119,7 @@ private:
           table_probe_length(r.get_histogram(
               "freq_table_probe_length",
               "Counter-table probe length (slots from preferred), sampled once "
-              "per batched-update block")),
+              "per 16 tracked hits")),
           spelling_enqueued(r.get_counter(
               "freq_spelling_enqueued_total",
               "Spellings accepted into shard spelling channels")),

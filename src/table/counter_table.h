@@ -105,8 +105,10 @@ public:
     /// Probes a block of keys, writing results[i] = counter pointer for
     /// keys[i] or nullptr when untracked. Issues the home-slot prefetches for
     /// the whole block up front, then probes each key, so the block's probe
-    /// cache misses overlap instead of serializing — the batched sketch
-    /// update path feeds its spans through here in blocks.
+    /// cache misses overlap instead of serializing. The library itself does
+    /// not call it: the sketch's span update runs one find per item, as
+    /// update(id, weight) does. It stays for its one caller, the
+    /// benchmark's table layer (perfbench's `table.find_ns`).
     ///
     /// The returned pointers obey the same invalidation rule as find():
     /// upsert never moves entries (the arrays never reallocate), only
@@ -123,16 +125,13 @@ public:
     /// Probe length (state value, distance-plus-one) of the slot holding
     /// \p counter, which must be a pointer previously returned by
     /// find/find_batch and still valid. Feeds the probe-length telemetry
-    /// without a second probe.
+    /// (sampled on the sketch's hit branch) without a second probe.
     state_type probe_length_of(const W* counter) const noexcept {
         return states_[static_cast<std::size_t>(counter - values_.data())];
     }
 
-    /// Prefetches the cache lines a probe for \p key will touch first. The
-    /// batched update path (frequent_items_sketch::update(span)) issues
-    /// these a few items ahead so successive probes overlap their memory
-    /// latency instead of serializing on it — the §2.3.3 table is large
-    /// enough at realistic k that nearly every probe misses cache.
+    /// Prefetches the cache lines a probe for \p key will touch first.
+    /// find_batch is its only caller.
     void prefetch(K key) const noexcept {
         const std::uint32_t idx = home_slot(key);
 #if defined(__GNUC__) || defined(__clang__)

@@ -14,7 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "api/summary_bytes.h"
 #include "core/frequent_items_sketch.h"
+#include "random/xoshiro.h"
 #include "stream/exact_counter.h"
 #include "stream/generators.h"
 
@@ -409,6 +411,66 @@ TEST(BatchedUpdate, EquivalentToElementwiseUpdates) {
     const auto before = batched.total_weight();
     batched.update(std::span<const update64>(zeros, 2));
     EXPECT_EQ(batched.total_weight(), before);
+}
+
+// Span-fed and item-fed sketches save byte-identical envelopes, and still do
+// after both take the same further updates (so the decrement-round RNG
+// advanced identically too). In the stream a new key comes back within four
+// items, with misses on a full table between the two occurrences, so
+// decrement rounds compact the table while the key is in flight.
+template <typename Sketch>
+void expect_span_ingest_byte_identical(const sketch_config& cfg) {
+    using W = typename Sketch::weight_type;
+    using U = update<std::uint64_t, W>;
+    xoshiro256ss rng(cfg.seed);
+    std::vector<U> stream;
+    for (std::uint64_t r = 0; r < 4'000; ++r) {
+        const std::uint64_t fresh = 1'000'000 + 3 * r;
+        stream.push_back({fresh, W(2)});
+        stream.push_back({fresh + 1, W(1)});
+        stream.push_back({fresh + 2, W(1)});
+        stream.push_back({fresh, W(3)});
+        for (int h = 0; h < 6; ++h) {
+            stream.push_back({1 + rng.below(12), static_cast<W>(1 + rng.below(9))});
+        }
+    }
+    Sketch spans(cfg);
+    Sketch items(cfg);
+    const std::span<const U> all(stream.data(), stream.size());
+    constexpr std::size_t epoch = 2'000;
+    for (std::size_t e = 0; e < all.size(); e += epoch) {
+        const auto part = all.subspan(e, std::min(epoch, all.size() - e));
+        for (std::size_t at = 0; at < part.size();) {
+            const std::size_t n = std::min<std::size_t>(1 + rng.below(40), part.size() - at);
+            spans.update(part.subspan(at, n));
+            at += n;
+        }
+        for (const auto& u : part) {
+            items.update(u.id, u.weight);
+        }
+        spans.tick();
+        items.tick();
+    }
+    ASSERT_GT(items.num_decrements(), 100u);
+    EXPECT_EQ(spans.num_decrements(), items.num_decrements());
+    EXPECT_EQ(envelope_save(spans).bytes(), envelope_save(items).bytes());
+    for (std::uint64_t i = 0; i < 5'000; ++i) {
+        const std::uint64_t id = 2'000'000 + rng.below(50);
+        spans.update(id, W(1));
+        items.update(id, W(1));
+    }
+    EXPECT_EQ(envelope_save(spans).bytes(), envelope_save(items).bytes());
+}
+
+TEST(BatchedUpdate, EnvelopesByteIdenticalToElementwise) {
+    expect_span_ingest_byte_identical<sketch_u64>(
+        sketch_config{.max_counters = 8, .sample_size = 4, .seed = 3});
+    expect_span_ingest_byte_identical<
+        basic_frequent_items<std::uint64_t, double, exponential_fading>>(
+        sketch_config{.max_counters = 8, .sample_size = 4, .seed = 5, .decay = 0.9});
+    expect_span_ingest_byte_identical<
+        basic_frequent_items<std::uint64_t, std::uint64_t, epoch_window>>(
+        sketch_config{.max_counters = 8, .sample_size = 4, .seed = 7, .window_epochs = 3});
 }
 
 // A batch containing an invalid (negative) weight must be rejected before

@@ -350,7 +350,9 @@ TEST(EngineSnapshotService, DisableReturnsReadsToFoldOnDemand) {
     engine_config cfg;
     cfg.num_shards = 2;
     stream_engine<> engine(cfg);
-    engine.enable_snapshot_service(std::chrono::milliseconds(1));
+    // A long interval leaves the enable-time publish as the only one, so
+    // the counts below do not depend on when the publisher thread runs.
+    engine.enable_snapshot_service(std::chrono::hours(1));
     EXPECT_TRUE(engine.snapshot_service_enabled());
     engine.disable_snapshot_service();
     EXPECT_FALSE(engine.snapshot_service_enabled());
@@ -368,7 +370,7 @@ TEST(EngineSnapshotService, DisableReturnsReadsToFoldOnDemand) {
     // rather than starting a fresh count.
     engine.enable_snapshot_service(std::chrono::hours(1));
     const auto stats = engine.snapshot_stats();
-    EXPECT_GE(stats.publishes, 2u);  // first service's publish + new enable's
+    EXPECT_EQ(stats.publishes, 2u);  // first service's publish + new enable's
     engine.disable_snapshot_service();
     EXPECT_EQ(engine.snapshot_stats().publishes, stats.publishes);
 }
