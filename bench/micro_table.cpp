@@ -1,6 +1,7 @@
 /// Google-benchmark micro-benchmarks for the §2.3.3 counter table itself:
 /// hit and miss lookups, upserts, batched probes and the
-/// decrement-and-compact pass, at small (L1-resident) and large
+/// decrement-and-compact pass (never evicting, evicting 1/8, and the
+/// sketch's half-evicting round), at small (L1-resident) and large
 /// (cache-straining) capacities. These are the per-operation costs that make
 /// Fig. 1's throughput possible.
 ///
@@ -149,6 +150,32 @@ void BM_DecrementAllEvicting(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
 }
 
+void BM_DecrementAllSketchRound(benchmark::State& state) {
+    // The regime of a sketch's decrement round: the table is full and about
+    // half its counters are at or below the amount (c* is the sample
+    // median), so half the sweep erases and half keeps. Each pass starts
+    // from a copy of one of eight full tables with distinct keys, so the
+    // branch predictor cannot learn one table's layout across passes.
+    const auto k = static_cast<std::uint32_t>(state.range(0));
+    std::vector<table_t> full;
+    xoshiro256ss rng(21);
+    for (std::uint64_t layout = 1; layout <= 8; ++layout) {
+        full.emplace_back(k, 1);
+        for (const auto key : resident_keys(k, layout)) {
+            full.back().upsert(key, 1 + rng.below(100));
+        }
+    }
+    table_t t = full[0];
+    std::size_t pass = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        t = full[pass++ % full.size()];
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(t.decrement_all(50));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
+}
+
 void BM_FillToCapacity(benchmark::State& state) {
     const auto k = static_cast<std::uint32_t>(state.range(0));
     const auto keys = resident_keys(k, 1);
@@ -232,6 +259,8 @@ FREQ_TABLE_BENCH(BM_UpsertExisting);
 FREQ_TABLE_BENCH(BM_DecrementAll)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_DecrementAllEvicting)
     ->Arg(1024)->Arg(65536)->Repetitions(3)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DecrementAllSketchRound)
+    ->Arg(4096)->Arg(32768)->Repetitions(3)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FillToCapacity)
     ->Arg(1024)->Arg(65536)->Repetitions(3)->Unit(benchmark::kMicrosecond);
 

@@ -410,14 +410,7 @@ protected:
     /// replacement, subtract the configured sample quantile from every
     /// counter, and drop the non-positive ones. Returns c*.
     W decrement_counters() {
-        const std::uint32_t slots = table_.num_slots();
-        for (auto& sample : sample_buf_) {
-            std::uint32_t s;
-            do {
-                s = static_cast<std::uint32_t>(rng_.below(slots));
-            } while (!table_.slot_occupied(s));
-            sample = table_.slot_value(s);
-        }
+        table_.sample_values(rng_, sample_buf_);
         const W cstar = quickselect_quantile(std::span<W>(sample_buf_), cfg_.decrement_quantile);
         FREQ_ENSURES(cstar > W{0});
         const std::uint32_t evicted = table_.decrement_all(cstar);

@@ -23,7 +23,7 @@
 ///
 /// Threading contract:
 ///  * ring(p).try_push(...)  — producer p only.
-///  * spellings().try_push() — any producer (mutex-guarded MPSC).
+///  * spellings().try_push_batch() — any producer (mutex-guarded MPSC).
 ///  * drain()                — the shard's single worker thread only.
 ///  * clone_sketch(), tick() — any thread; take the sketch mutex.
 ///

@@ -12,11 +12,15 @@
 /// Why a mutex is fine on this lane: spellings are sent once per key
 /// first-sight (and again only after a producer's recently-sent filter
 /// evicts the fingerprint), so traffic is proportional to *distinct-key
-/// churn*, not stream length — orders of magnitude below the update rate
-/// the rings carry. The queue is bounded; a full channel rejects the push
-/// and the producer simply does not mark the fingerprint as sent, so the
-/// spelling is retried on the key's next occurrence instead of blocking
-/// the hot path.
+/// churn*, not stream length. A producer stages the spellings of each
+/// shard next to that shard's update run and hands them over in one
+/// try_push_batch() when it publishes the run, so the lock is taken once
+/// per published run, not once per first-sight push. The worker's idle
+/// poll does not lock at all: drain() returns at once when every accepted
+/// spelling has been applied. The queue is bounded; a full channel rejects
+/// the rest of a batch and the producer forgets those fingerprints in its
+/// filter, so each rejected spelling is retried on the key's next
+/// occurrence instead of blocking the hot path.
 ///
 /// The pushed()/applied() counters mirror the rings' cursors so the
 /// engine's flush() barrier can cover identification state too: after a
@@ -28,10 +32,12 @@
 /// keys simply cause re-sends — which doubles as the healing mechanism for
 /// spellings the shard swept while their fingerprint was untracked.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,29 +61,38 @@ public:
         queue_.reserve(capacity < 4096 ? capacity : 4096);
     }
 
-    /// Any producer thread. False when the channel is full — the caller
-    /// must then *not* mark the fingerprint as sent, so the spelling is
+    /// Any producer thread. Moves the longest prefix of \p batch that fits
+    /// into the channel, under one lock, and returns its length. The
+    /// entries past it are rejected and left untouched — the caller must
+    /// then *not* treat their fingerprints as sent, so each spelling is
     /// retried later instead of being lost.
-    bool try_push(std::uint64_t fp, Item item) {
+    std::size_t try_push_batch(std::span<entry> batch) {
+        std::size_t accepted = 0;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (queue_.size() >= capacity_) {
-                obs::pipeline().spelling_rejects.add(1);
-                return false;
+            accepted = std::min(batch.size(), capacity_ - queue_.size());
+            for (std::size_t i = 0; i < accepted; ++i) {
+                queue_.push_back(std::move(batch[i]));
             }
-            queue_.push_back(entry{fp, std::move(item)});
-            pushed_.fetch_add(1, std::memory_order_release);
+            pushed_.fetch_add(accepted, std::memory_order_release);
         }
-        obs::pipeline().spelling_enqueued.add(1);
-        return true;
+        auto& m = obs::pipeline();
+        m.spelling_enqueued.add(accepted);
+        m.spelling_rejects.add(batch.size() - accepted);
+        return accepted;
     }
 
     /// Consumer side (the shard worker): swaps every pending entry into
     /// \p out (cleared first) and returns the count. The caller applies the
     /// entries to its sketch, then acknowledges with mark_applied() so the
-    /// flush barrier can observe completion.
+    /// flush barrier can observe completion. Returns 0 without locking when
+    /// every accepted spelling has been applied (the idle poll); a push
+    /// racing that check is taken by the next call.
     std::size_t drain(std::vector<entry>& out) {
         out.clear();
+        if (pushed() == applied()) {
+            return 0;
+        }
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.swap(out);
         return out.size();
@@ -128,6 +143,15 @@ public:
 
     void mark_sent(std::uint64_t fp) noexcept {
         slots_[static_cast<std::size_t>(fp) & mask_] = fp;
+    }
+
+    /// Un-marks \p fp if its slot still holds it, so the key's next
+    /// occurrence sends its spelling again (a rejected hand-off).
+    void forget(std::uint64_t fp) noexcept {
+        auto& slot = slots_[static_cast<std::size_t>(fp) & mask_];
+        if (slot == fp) {
+            slot = empty_slot;
+        }
     }
 
     /// Clears the next slot round-robin (the rolling refresh; O(1)).

@@ -55,9 +55,12 @@
 /// string_frequent_items<W, L>) and producers additionally accept keyed
 /// pushes — push("alice", 3.0). The key is fingerprinted in the producer's
 /// thread, the fixed-size (fingerprint, weight) record rides the ordinary
-/// SPSC ring hot path, and the spelling travels at most once per
-/// first-sight (deduplicated by a per-producer direct-mapped filter)
-/// through the shard's bounded spelling_channel. Each shard thus owns the
+/// SPSC ring hot path, and the spelling is staged at most once per
+/// first-sight (deduplicated by a per-producer direct-mapped filter) next
+/// to the shard's update run. When the producer publishes that run, the
+/// staged spellings move into the shard's bounded spelling_channel under
+/// one lock; a spelling the full channel rejects is forgotten by the
+/// filter and re-sent on the key's next occurrence. Each shard thus owns the
 /// dictionary slice for exactly the fingerprints routed to it; snapshot()
 /// unions the slices, so snapshot().top_items(m) reports full spellings.
 /// flush() barriers cover the spelling lane too. Identification is
@@ -128,8 +131,10 @@ public:
             : engine_(other.engine_),
               slot_(other.slot_),
               stages_(std::move(other.stages_)),
+              spelling_stages_(std::move(other.spelling_stages_)),
               filter_(std::move(other.filter_)),
               filter_ticks_(other.filter_ticks_),
+              dedupe_hits_(other.dedupe_hits_),
               stalls_(other.stalls_),
               spelling_rejects_(other.spelling_rejects_) {
             other.engine_ = nullptr;
@@ -173,10 +178,12 @@ public:
         /// Keyed push for spelling-keeping sketches (text / generic keys):
         /// fingerprints \p item here in the producer's thread, routes the
         /// fixed-size (fingerprint, weight) record through the ordinary
-        /// ring hot path, and ships the spelling itself at most once per
-        /// first-sight (per-producer direct-mapped dedupe; a full channel
-        /// defers to the key's next occurrence). Counting is exact in
-        /// fingerprint space whether or not the spelling has landed.
+        /// ring hot path, and stages the spelling itself at most once per
+        /// first-sight (per-producer direct-mapped dedupe) next to the
+        /// update run; publish() hands the staged spellings to the shard's
+        /// channel, and a full channel defers a spelling to the key's next
+        /// occurrence. Counting is exact in fingerprint space whether or
+        /// not the spelling has landed.
         template <typename S = Sketch>
             requires spelling_sketch<S>
         void push(typename S::item_view item, W weight = W{1}) {
@@ -194,15 +201,10 @@ public:
                 filter_->evict_next();
             }
             if (!filter_->recently_sent(fp)) {
-                if (engine_->shards_[s]->spellings().try_push(
-                        fp, S::key_traits::materialize(item))) {
-                    filter_->mark_sent(fp);
-                } else {
-                    ++spelling_rejects_;
-                    engine_->spelling_rejects_.fetch_add(1, std::memory_order_relaxed);
-                }
+                filter_->mark_sent(fp);
+                spelling_stages_[s].push_back({fp, S::key_traits::materialize(item)});
             } else {
-                obs::pipeline().spelling_dedupe_hits.add(1);
+                ++dedupe_hits_;
             }
             auto& stage = stages_[s];
             stage.push_back(update_type{fp, weight});
@@ -238,15 +240,18 @@ public:
                 s.reserve(engine_->cfg_.producer_batch);
             }
             if constexpr (spelling_sketch<Sketch>) {
+                spelling_stages_.resize(engine_->cfg_.num_shards);
                 filter_.emplace(engine_->cfg_.spelling_filter_slots);
             }
         }
 
-        /// Pushes shard \p s's staged run into its ring, yielding while full.
+        /// Pushes shard \p s's staged run into its ring, yielding while full,
+        /// then hands the run's staged spellings to the shard's channel.
         /// If the engine has been stopped (its workers are gone, so a full
-        /// ring would never drain) the remaining staged updates are dropped
-        /// rather than livelocking — pushing after stop() is a contract
-        /// violation, but the destructor-flush must stay safe against it.
+        /// ring would never drain) the remaining staged updates and
+        /// spellings are dropped rather than livelocking — pushing after
+        /// stop() is a contract violation, but the destructor-flush must
+        /// stay safe against it.
         void publish(std::uint32_t s) {
             auto& ring = engine_->shards_[s]->ring(slot_);
             std::span<const update_type> pending(stages_[s]);
@@ -274,7 +279,37 @@ public:
                 m.engine_ring_occupancy.record(ring.size());
             }
             stages_[s].clear();
+            if constexpr (spelling_sketch<Sketch>) {
+                publish_spellings(s);
+            }
         }
+
+        /// Moves shard \p s's staged spellings into its channel under one
+        /// lock. The fingerprints of rejected spellings are forgotten by the
+        /// filter, so each key's next occurrence stages its spelling again.
+        void publish_spellings(std::uint32_t s) {
+            auto& staged = spelling_stages_[s];
+            if (!staged.empty() && !engine_->stopping_.load(std::memory_order_acquire)) {
+                const std::size_t accepted =
+                    engine_->shards_[s]->spellings().try_push_batch(staged);
+                const std::size_t rejected = staged.size() - accepted;
+                if (rejected > 0) {
+                    for (std::size_t i = accepted; i < staged.size(); ++i) {
+                        filter_->forget(staged[i].fp);
+                    }
+                    spelling_rejects_ += rejected;
+                    engine_->spelling_rejects_.fetch_add(rejected, std::memory_order_relaxed);
+                }
+            }
+            staged.clear();
+            if (dedupe_hits_ > 0) {
+                obs::pipeline().spelling_dedupe_hits.add(dedupe_hits_);
+                dedupe_hits_ = 0;
+            }
+        }
+
+        using spelling_entry =
+            typename engine_shard<K, W, Sketch>::spelling_channel_type::entry;
 
         /// Keyed pushes between rolling filter evictions: every slot clears
         /// at least once per (period × slots) pushes, bounding both the
@@ -284,8 +319,12 @@ public:
         stream_engine* engine_;
         std::uint32_t slot_;
         std::vector<std::vector<update_type>> stages_;  ///< one staging run per shard
+        /// Spellings staged per shard, handed over when the shard's run is
+        /// published (spelling-keeping sketches only).
+        std::vector<std::vector<spelling_entry>> spelling_stages_;
         std::optional<spelling_filter> filter_;  ///< recently-sent spelling dedupe
         std::size_t filter_ticks_ = 0;           ///< pushes since the last eviction
+        std::uint64_t dedupe_hits_ = 0;  ///< filter hits not yet added to the metric
         std::uint64_t stalls_ = 0;
         std::uint64_t spelling_rejects_ = 0;
     };

@@ -2,88 +2,36 @@
 #define FREQ_SELECT_QUICKSELECT_H
 
 /// \file quickselect.h
-/// Hoare's Find [Hoa61]: selection of the r-th smallest / largest element of
-/// a scratch buffer, in expected O(n) time, in place.
+/// Selection of the r-th smallest / largest element of a scratch buffer, in
+/// expected O(n) time, in place — Hoare's Find [Hoa61], as the standard
+/// library implements it (std::nth_element).
 ///
 /// This is the selection routine the paper relies on in three places:
 ///  * Algorithm 3 (MED) — exact k*-th largest counter during a decrement;
 ///  * Algorithm 4 (SMED) — quantile of the l sampled counters;
 ///  * the "Hoa61" merge baseline of §3.1/§4.5 — k-th largest counter of the
 ///    combined table.
-/// Partitioning uses median-of-three pivots with a random fallback to avoid
-/// the classic quadratic blowup on sorted or constant runs.
+/// The selected value is unique whatever the partitioning scheme; only the
+/// order of the other elements depends on it.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
-#include <utility>
 
 #include "common/contracts.h"
-#include "random/xoshiro.h"
 
 namespace freq {
 
-namespace detail {
-
-template <typename T>
-std::size_t partition_around(std::span<T> v, std::size_t pivot_index) {
-    const T pivot = v[pivot_index];
-    std::swap(v[pivot_index], v[v.size() - 1]);
-    std::size_t store = 0;
-    for (std::size_t i = 0; i + 1 < v.size(); ++i) {
-        if (v[i] < pivot) {
-            std::swap(v[i], v[store]);
-            ++store;
-        }
-    }
-    std::swap(v[store], v[v.size() - 1]);
-    return store;
-}
-
-template <typename T>
-std::size_t median_of_three(std::span<T> v) {
-    const std::size_t a = 0, b = v.size() / 2, c = v.size() - 1;
-    if (v[a] < v[b]) {
-        if (v[b] < v[c]) return b;
-        return v[a] < v[c] ? c : a;
-    }
-    if (v[a] < v[c]) return a;
-    return v[b] < v[c] ? c : b;
-}
-
-}  // namespace detail
-
-/// Rearranges \p v so that the r-th smallest element (0-based) is at index r
-/// and returns it. Expected O(n); mutates the buffer.
+/// Rearranges \p v so that the r-th smallest element (0-based) is at index r,
+/// with no larger element before it and no smaller one after it, and returns
+/// it. Expected O(n); mutates the buffer.
 template <typename T>
 T quickselect_smallest(std::span<T> v, std::size_t r) {
     FREQ_REQUIRE(!v.empty(), "quickselect on empty range");
     FREQ_REQUIRE(r < v.size(), "quickselect rank out of range");
-    xoshiro256ss rng(0x9e3779b97f4a7c15ULL ^ v.size());
-    std::span<T> range = v;
-    std::size_t rank = r;
-    while (range.size() > 1) {
-        const std::size_t pivot_at = range.size() >= 8
-                                         ? detail::median_of_three(range)
-                                         : static_cast<std::size_t>(rng.below(range.size()));
-        const std::size_t mid = detail::partition_around(range, pivot_at);
-        if (rank == mid) {
-            return range[mid];
-        }
-        if (rank < mid) {
-            range = range.subspan(0, mid);
-        } else {
-            range = range.subspan(mid + 1);
-            rank -= mid + 1;
-        }
-        // Degenerate partitions (all-equal buffers) can stall median-of-three;
-        // fall back to a random pivot by re-entering the loop, which the rng
-        // pivot below handles for small ranges.
-        if (range.size() >= 8 && mid == 0) {
-            const std::size_t rnd = static_cast<std::size_t>(rng.below(range.size()));
-            std::swap(range[0], range[rnd]);
-        }
-    }
-    return range[0];
+    const auto nth = v.begin() + static_cast<std::ptrdiff_t>(r);
+    std::nth_element(v.begin(), nth, v.end());
+    return *nth;
 }
 
 /// r-th largest (0-based: r = 0 is the maximum). Expected O(n); mutates \p v.

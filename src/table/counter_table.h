@@ -20,20 +20,27 @@
 /// sweep starts just past an empty slot, so when a slot is processed every
 /// occupied slot between any key's preferred slot and its current slot has
 /// already been re-placed, and re-probing from the preferred slot restores
-/// the linear-probing reachability invariant.
+/// the linear-probing reachability invariant. The sweep walks the set bits
+/// of 64-slot occupancy masks, and a counter in its preferred slot is
+/// decremented or erased in place, with no branch on whether it survives.
 ///
 /// At 8-byte keys, 8-byte values and 2-byte states the table costs
 /// 18 * ceil_pow2(4k/3) bytes — the paper's "24k bytes" figure when 4k/3
 /// lands on a power of two.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <type_traits>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/contracts.h"
 #include "hashing/hash.h"
+#include "random/xoshiro.h"
 
 namespace freq {
 
@@ -163,10 +170,11 @@ public:
     /// become non-positive, compacting probe runs in place. Returns the
     /// number of erased counters. O(L) single pass, no allocation.
     ///
-    /// The sweep starts just past an empty slot, located from the slot the
-    /// previous decrement (or erase) left empty rather than by scanning from
-    /// slot 0 — on a near-full table whose front is one long cluster the
-    /// old scan was O(cluster) extra work per decrement.
+    /// The sweep starts just past an empty slot, found from the slot the
+    /// previous decrement (or erase) left empty, and visits (start, L) then
+    /// [0, start) one 64-slot occupancy mask at a time. A mask stays valid
+    /// while its bits are walked: processing a slot writes only at or
+    /// before it.
     std::uint32_t decrement_all(W amount) {
         if (num_active_ == 0) {
             return 0;
@@ -181,18 +189,40 @@ public:
             FREQ_EXPECTS(scanned <= num_slots_);
         }
         std::uint32_t erased = 0;
-        std::uint32_t idx = (start + 1) & mask_;
-        for (std::uint32_t step = 1; step < num_slots_; ++step) {
-            if (states_[idx] != 0) {
-                sweep_occupied(idx, amount, erased);
+        const std::uint32_t words = (num_slots_ + 63) / 64;
+        for (std::uint32_t i = 0; i <= words; ++i) {
+            const std::uint32_t base = (start / 64 + i) % words * 64;
+            std::uint64_t live = occupancy(base);
+            if (i == 0) {
+                live &= ~std::uint64_t{1} << (start % 64);
             }
-            idx = (idx + 1) & mask_;
+            if (i == words) {
+                live &= (std::uint64_t{1} << (start % 64)) - 1;
+            }
+            for (; live != 0; live &= live - 1) {
+                erased += sweep_occupied(base + std::countr_zero(live), amount);
+            }
         }
+        num_active_ -= erased;
         // The start slot was empty before the sweep and no re-placement can
         // reach it (its original probe paths never crossed it), so it is
         // still empty — the next decrement starts its scan here.
         empty_hint_ = start;
         return erased;
+    }
+
+    /// Fills \p out with the values of uniformly drawn occupied slots (with
+    /// replacement; a draw on an empty slot is rejected): Algorithm 4's
+    /// sample. Every draw stores its value and only an occupied slot
+    /// advances the write index, so no branch depends on the table.
+    void sample_values(xoshiro256ss& rng, std::span<W> out) const {
+        FREQ_EXPECTS(num_active_ > 0);
+        std::size_t filled = 0;
+        while (filled < out.size()) {
+            const auto s = static_cast<std::uint32_t>(rng.below(num_slots_));
+            out[filled] = values_[s];
+            filled += states_[s] != 0;
+        }
     }
 
     /// Multiplies every counter by \p factor (> 0) in place — the
@@ -201,8 +231,7 @@ public:
     /// floating-point headroom. Slot placement is key-driven, so scaling
     /// itself never moves entries; in the (denormal-only) event that some
     /// counter underflows to zero, one decrement_all(0) pass drops the dead
-    /// counters and compacts the probe runs — a single O(L) sweep instead
-    /// of the former rescan-then-erase-per-key cleanup.
+    /// counters and compacts the probe runs.
     void scale_all(double factor) {
         static_assert(std::is_floating_point_v<W>,
                       "scale_all is meaningful only for floating-point counters");
@@ -292,31 +321,53 @@ private:
         ++num_active_;
     }
 
-    /// One occupied-slot step of the decrement sweep. Vacates \p idx, then
-    /// either drops the counter or re-places it by probing from its
-    /// preferred slot. Every occupied slot this probe can traverse has
-    /// already been processed, so the probe ends at or before the slot just
-    /// vacated. Compare before subtracting: unsigned weights must not wrap.
-    void sweep_occupied(std::uint32_t idx, W amount, std::uint32_t& erased) {
-        const K key = keys_[idx];
-        const W value = values_[idx];
-        states_[idx] = 0;
-        if (value <= amount) {
-            --num_active_;
-            ++erased;
-        } else {
-            const W remaining = value - amount;
-            std::uint32_t target = home_slot(key);
-            std::uint32_t dist = 0;
-            while (states_[target] != 0) {
-                target = (target + 1) & mask_;
-                ++dist;
-            }
-            FREQ_EXPECTS(dist + 1 <= max_state);
-            keys_[target] = key;
-            values_[target] = remaining;
-            states_[target] = static_cast<state_type>(dist + 1);
+    /// Occupancy bits of the (up to) 64 slots from \p base, bit i for slot
+    /// base + i. Bytes first, then eight bytes at a time gathered into eight
+    /// bits by one multiply: byte j (0 or 1) of x lands on bit 56 + j of
+    /// x * 0x0102040810204080, and no two partial products overlap.
+    std::uint64_t occupancy(std::uint32_t base) const noexcept {
+        static_assert(std::endian::native == std::endian::little,
+                      "occupancy() reads eight flag bytes as one little-endian word");
+        const std::uint32_t n = std::min<std::uint32_t>(64, num_slots_ - base);
+        unsigned char occupied[64] = {};
+        for (std::uint32_t i = 0; i < n; ++i) {
+            occupied[i] = states_[base + i] != 0;
         }
+        std::uint64_t mask = 0;
+        for (std::uint32_t byte = 0; byte < 64; byte += 8) {
+            std::uint64_t x;
+            std::memcpy(&x, occupied + byte, sizeof x);
+            mask |= ((x * 0x0102040810204080ULL) >> 56) << byte;
+        }
+        return mask;
+    }
+
+    /// One occupied-slot step of the decrement sweep; returns 1 when the
+    /// counter was erased. An erased counter, or a survivor in its preferred
+    /// slot (state 1), is settled in place. Any other survivor re-probes
+    /// from the preferred slot its state encodes; every slot that probe can
+    /// cross has been processed, so it ends at or before the slot vacated.
+    std::uint32_t sweep_occupied(std::uint32_t idx, W amount) {
+        const state_type state = states_[idx];
+        const W value = values_[idx];
+        const bool keep = value > amount;
+        if (state == 1 || !keep) {
+            values_[idx] = keep ? static_cast<W>(value - amount) : value;
+            states_[idx] = static_cast<state_type>(keep);  // keep: state stays 1
+            return !keep;
+        }
+        states_[idx] = 0;
+        std::uint32_t target = (idx - (state - 1u)) & mask_;
+        std::uint32_t dist = 0;
+        while (states_[target] != 0) {
+            target = (target + 1) & mask_;
+            ++dist;
+        }
+        FREQ_EXPECTS(dist + 1 <= max_state);
+        keys_[target] = keys_[idx];
+        values_[target] = static_cast<W>(value - amount);
+        states_[target] = static_cast<state_type>(dist + 1);
+        return 0;
     }
 
     /// After vacating \p hole, slide each subsequent cluster element one

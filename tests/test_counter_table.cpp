@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "hashing/hash.h"
 #include "random/xoshiro.h"
+#include "select/quickselect.h"
 
 namespace freq {
 namespace {
@@ -308,6 +312,209 @@ TEST(CounterTable, FindBatchAgreesWithFind) {
         }
     }
 }
+
+/// Reference decrement round, kept in the form the table and the sketch
+/// used before the occupancy-mask sweep: a rejection sampler that redraws
+/// until it hits an occupied slot, a sort-based quantile, and a sweep that
+/// tests every slot and re-places every survivor by re-hashing its key. It
+/// mirrors the table's slot layout so the two can be compared slot by slot,
+/// empty slots' stale key and value bits included.
+template <typename W>
+struct reference_round {
+    std::vector<std::uint64_t> keys;
+    std::vector<W> values;
+    std::vector<std::uint16_t> states;
+    std::uint32_t mask = 0;
+    std::uint32_t active = 0;
+    std::uint32_t empty_hint = 0;  ///< carried across calls, as in the table
+    std::uint64_t seed = 0;
+
+    explicit reference_round(const counter_table<std::uint64_t, W>& t)
+        : keys(t.num_slots()),
+          values(t.num_slots()),
+          states(t.num_slots()),
+          mask(t.num_slots() - 1),
+          seed(t.hash_seed()) {}
+
+    /// Takes over the table's slots (after upserts, which both agree on).
+    void assign_from(const counter_table<std::uint64_t, W>& t) {
+        for (std::uint32_t s = 0; s < t.num_slots(); ++s) {
+            keys[s] = t.slot_key(s);
+            values[s] = t.slot_value(s);
+            states[s] = t.slot_state(s);
+        }
+        active = t.size();
+    }
+
+    void sample(xoshiro256ss& rng, std::vector<W>& out) const {
+        for (auto& v : out) {
+            std::uint32_t s;
+            do {
+                s = static_cast<std::uint32_t>(rng.below(states.size()));
+            } while (states[s] == 0);
+            v = values[s];
+        }
+    }
+
+    static W quantile(std::vector<W> v, double q) {
+        std::sort(v.begin(), v.end());
+        const auto rank = static_cast<std::size_t>(q * static_cast<double>(v.size()));
+        return v[std::min(rank, v.size() - 1)];
+    }
+
+    std::uint32_t decrement_all(W amount) {
+        if (active == 0) {
+            return 0;
+        }
+        std::uint32_t start = empty_hint;
+        while (states[start] != 0) {
+            start = (start + 1) & mask;
+        }
+        std::uint32_t erased = 0;
+        std::uint32_t idx = (start + 1) & mask;
+        for (std::uint32_t step = 1; step <= mask; ++step, idx = (idx + 1) & mask) {
+            if (states[idx] == 0) {
+                continue;
+            }
+            const std::uint64_t key = keys[idx];
+            const W value = values[idx];
+            states[idx] = 0;
+            if (value <= amount) {
+                --active;
+                ++erased;
+                continue;
+            }
+            std::uint32_t target = static_cast<std::uint32_t>(table_hash(key, seed)) & mask;
+            std::uint32_t dist = 0;
+            while (states[target] != 0) {
+                target = (target + 1) & mask;
+                ++dist;
+            }
+            keys[target] = key;
+            values[target] = value - amount;
+            states[target] = static_cast<std::uint16_t>(dist + 1);
+        }
+        empty_hint = start;
+        return erased;
+    }
+};
+
+template <typename W>
+void expect_same_slots(const counter_table<std::uint64_t, W>& t, const reference_round<W>& ref,
+                       int step) {
+    ASSERT_EQ(t.size(), ref.active) << "step " << step;
+    for (std::uint32_t s = 0; s < t.num_slots(); ++s) {
+        ASSERT_EQ(t.slot_state(s), ref.states[s]) << "step " << step << " slot " << s;
+        ASSERT_EQ(t.slot_key(s), ref.keys[s]) << "step " << step << " slot " << s;
+        ASSERT_EQ(t.slot_value(s), ref.values[s]) << "step " << step << " slot " << s;
+    }
+}
+
+// The library's decrement round (branch-free sampler, std::nth_element
+// selection, occupancy-mask sweep with its in-place home-slot path) must
+// leave exactly the layout the reference round leaves: same draws, same
+// c*, same state/key/value in every slot, with the empty-slot hint carried
+// across calls. Half the keys are homed in the last few slots, so clusters
+// wrap past L-1; amounts equal to a live value check that value == amount
+// erases; decrement_all(0) is the pass scale_all runs after underflow.
+template <typename W>
+void differential_rounds(std::uint32_t k) {
+    counter_table<std::uint64_t, W> t(k, k + 17);
+    reference_round<W> ref(t);
+    const std::uint32_t L = t.num_slots();
+    xoshiro256ss ops(k * 7919 + 3);
+    xoshiro256ss lib_rng(k + 99);
+    xoshiro256ss ref_rng(k + 99);
+
+    std::vector<std::uint64_t> pool;
+    const std::uint32_t tail = std::max<std::uint32_t>(2, L / 64);
+    for (std::uint64_t key = 1; pool.size() < 2 * std::size_t{k} + 4; ++key) {
+        if (t.home_slot(key) >= L - tail) {
+            pool.push_back(key);
+        }
+    }
+    for (std::uint32_t i = 0; i < 2 * k + 4; ++i) {
+        pool.push_back(ops());
+    }
+    const auto draw = [&] {
+        W w = static_cast<W>(ops.between(1, 40));
+        if constexpr (std::is_floating_point_v<W>) {
+            w += static_cast<W>(ops.unit_real());
+        }
+        return w;
+    };
+
+    const double quantiles[] = {0.0, 0.5, 0.9};
+    std::vector<W> lib_sample;
+    std::vector<W> ref_sample;
+    for (int step = 0; step < 300; ++step) {
+        const std::uint32_t fill = 1 + static_cast<std::uint32_t>(ops.below(k));
+        while (t.size() < fill) {
+            t.upsert(pool[ops.below(pool.size())], draw());
+        }
+        ref.assign_from(t);
+        std::uint32_t lib_erased = 0;
+        std::uint32_t ref_erased = 0;
+        switch (ops.below(4)) {
+            case 0: {  // a full sampled round, as the sketch runs it
+                const double q = quantiles[ops.below(3)];
+                const std::size_t l = 1 + ops.below(1024);
+                lib_sample.assign(l, W{0});
+                ref_sample.assign(l, W{0});
+                t.sample_values(lib_rng, lib_sample);
+                ref.sample(ref_rng, ref_sample);
+                ASSERT_EQ(lib_sample, ref_sample) << "step " << step;
+                const W cstar = quickselect_quantile(std::span<W>(lib_sample), q);
+                ASSERT_EQ(cstar, reference_round<W>::quantile(ref_sample, q)) << "step " << step;
+                ASSERT_EQ(lib_rng(), ref_rng()) << "step " << step;
+                lib_erased = t.decrement_all(cstar);
+                ref_erased = ref.decrement_all(cstar);
+                break;
+            }
+            case 1: {  // an amount equal to a live counter
+                std::uint32_t s = static_cast<std::uint32_t>(ops.below(L));
+                while (!t.slot_occupied(s)) {
+                    s = (s + 1) & (L - 1);
+                }
+                const W amount = t.slot_value(s);
+                lib_erased = t.decrement_all(amount);
+                ref_erased = ref.decrement_all(amount);
+                ASSERT_GE(lib_erased, 1u) << "step " << step;
+                break;
+            }
+            case 2:
+                lib_erased = t.decrement_all(W{0});
+                ref_erased = ref.decrement_all(W{0});
+                break;
+            default: {
+                const W amount = draw();
+                lib_erased = t.decrement_all(amount);
+                ref_erased = ref.decrement_all(amount);
+                break;
+            }
+        }
+        ASSERT_EQ(lib_erased, ref_erased) << "step " << step;
+        expect_same_slots(t, ref, step);
+        check_invariants(t);
+    }
+}
+
+/// (capacity k, real-valued weights)
+class DecrementRoundDifferential
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool>> {};
+
+TEST_P(DecrementRoundDifferential, MatchesReferenceRoundSlotForSlot) {
+    const auto [k, real] = GetParam();
+    if (real) {
+        differential_rounds<double>(k);
+    } else {
+        differential_rounds<std::uint64_t>(k);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, DecrementRoundDifferential,
+                         ::testing::Combine(::testing::Values(1, 3, 64, 4096),
+                                            ::testing::Bool()));
 
 // Fuzz the full operation mix against a std::unordered_map oracle, checking
 // structural invariants as we go. This is the key correctness argument for

@@ -223,6 +223,59 @@ TEST(EngineText, SweptSpellingHealsViaRollingFilterRefresh) {
     EXPECT_GE(snap.estimate("phoenix"), 1'000'000u);
 }
 
+TEST(EngineText, RejectedSpellingsAreRetriedAndCounted) {
+    // A two-slot spelling channel rejects most of each published run's
+    // first-sight spellings. Every rejection must be counted, the flush
+    // barrier must still cover exactly the accepted ones, and a rejected
+    // key's fingerprint must be forgotten by the producer's filter, so its
+    // next occurrence re-sends the spelling: no heavy hitter may stay
+    // "<unknown>".
+    const auto stream = word_stream(60'000, 3'000, 17);
+    engine_config cfg;
+    cfg.num_shards = 2;
+    cfg.num_producers = 1;
+    cfg.spelling_channel_capacity = 2;
+    cfg.sketch = sketch_config{.max_counters = 64, .seed = 5};
+    stream_engine<std::uint64_t, std::uint64_t, string_frequent_items<std::uint64_t>>
+        engine(cfg);
+    std::unordered_set<std::string> distinct;
+    {
+        auto producer = engine.make_producer();
+        for (const auto& [word, w] : stream) {
+            producer.push(std::string_view(word), w);
+            distinct.insert(word);
+        }
+        producer.flush();
+        engine.flush();
+        const engine_stats st = engine.stats();
+        EXPECT_GT(st.spelling_rejects, 0u);
+        EXPECT_EQ(st.spelling_rejects, producer.spelling_rejects());
+        EXPECT_EQ(st.spellings_applied, st.spellings_enqueued);
+        // Each distinct word is staged at least once, on its first sight.
+        EXPECT_GE(st.spellings_enqueued + st.spelling_rejects, distinct.size());
+
+        // A few more occurrences, in runs short enough that the channel
+        // empties between publishes — far fewer than the filter's rolling
+        // refresh needs to clear a slot it still marks.
+        for (std::size_t i = 0; i < 2'048; ++i) {
+            producer.push(std::string_view(stream[i].first), stream[i].second);
+            if (i % 256 == 255) {
+                producer.flush();
+                engine.flush();
+            }
+        }
+    }
+    engine.flush();
+    const engine_stats st = engine.stats();
+    EXPECT_EQ(st.spellings_applied, st.spellings_enqueued);
+
+    const auto top = engine.snapshot().top_items(10);
+    ASSERT_EQ(top.size(), 10u);
+    for (const auto& r : top) {
+        EXPECT_NE(r.item, "<unknown>") << "fingerprint " << r.fingerprint;
+    }
+}
+
 // --- generic (non-string) keys through the engine ----------------------------
 
 /// A flow 5-tuple stand-in: the "generic key" the fingerprint core routes
