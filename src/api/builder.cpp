@@ -234,7 +234,8 @@ private:
 
 /// What both wrappers answer alike: every query verb runs over the view
 /// `Derived::with_view(f)` hands it — the sketch itself for a standalone
-/// summary, a published or freshly folded snapshot for a sharded one.
+/// summary, a published snapshot or the engine's shared fold for a sharded
+/// one.
 template <typename Derived, typename Sketch>
 class summary_queries : public summarizer_impl {
 public:
@@ -410,8 +411,8 @@ private:
 
 /// A stream_engine behind the erased interface. For text keys producers
 /// fingerprint keys and feed the engine's ring hot path, each shard owns
-/// its spelling-dictionary slice, and every read view (fold-on-demand or
-/// the cached published snapshot) is a full string summary — so
+/// its spelling-dictionary slice, and every read view (the engine's shared
+/// fold or the cached published snapshot) is a full string summary — so
 /// estimate("alice") and top_items() answer with spellings straight off
 /// the view.
 template <typename Sketch>
@@ -465,9 +466,11 @@ public:
     std::uint64_t now() const override { return now_; }
 
     // With the snapshot service on, queries answer from the cached
-    // double-buffered view (engine/snapshot_service.h); otherwise each call
-    // folds a fresh O(k·S) snapshot on this thread — cache one per query
-    // batch through snapshot() when querying many ids without the service.
+    // double-buffered view (engine/snapshot_service.h); otherwise they read
+    // the engine's shared fold (stream_engine::view()). A query after new
+    // updates re-clones the shards that moved (counters plus tracked
+    // spellings) and re-merges them; queries with no update in between
+    // share one fold and copy nothing.
     void enable_snapshot_service(std::chrono::microseconds interval) override {
         engine_.enable_snapshot_service(interval);
     }
@@ -479,16 +482,21 @@ public:
 
     std::uint32_t capacity() const override { return this->desc_.sketch.max_counters; }
     std::size_t memory_bytes() const override {
-        return with_view([&](const Sketch& s) -> std::size_t {
-            if constexpr (text_keyed<Sketch>) {
-                // Counter tables exist once per shard; the view's dictionary is
-                // already the *union* of the per-shard slices, so count it once.
-                const std::size_t dict = s.dictionary().memory_bytes();
-                return (s.memory_bytes() - dict) * engine_.num_shards() + dict;
-            } else {
-                return s.memory_bytes() * engine_.num_shards();
+        if constexpr (text_keyed<Sketch>) {
+            // Each shard's own sketch: its counter table plus its dictionary
+            // slice, untracked spellings included. A fold carries only the
+            // tracked spellings, so it would understate the footprint.
+            std::size_t bytes = 0;
+            for (std::uint32_t s = 0; s < engine_.num_shards(); ++s) {
+                bytes += engine_.read_shard(
+                    s, [](const Sketch& shard) { return shard.memory_bytes(); });
             }
-        });
+            return bytes;
+        } else {
+            return with_view([&](const Sketch& s) -> std::size_t {
+                return s.memory_bytes() * engine_.num_shards();
+            });
+        }
     }
 
     // The documented save() contract is a *stream-complete* standalone
@@ -545,16 +553,16 @@ private:
     }
 
     /// Runs \p f over the freshest consistent view: the cached published
-    /// snapshot when the service is on (pinned for the duration of the
-    /// call), a fold-on-demand snapshot otherwise.
+    /// snapshot when the service is on, the engine's shared fold otherwise
+    /// (each pinned for the duration of the call).
     template <typename F>
     auto with_view(F&& f) const {
         if (engine_.snapshot_service_enabled()) {
             const auto view = engine_.acquire_snapshot();
             return f(*view);
         }
-        const Sketch snap = engine_.snapshot();
-        return f(snap);
+        const auto view = engine_.view();
+        return f(*view);
     }
 
     engine_type engine_;

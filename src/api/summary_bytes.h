@@ -35,8 +35,9 @@
 /// The minor version (formerly the first reserved byte, so minor-0 images
 /// are exactly the pre-bump format) versions the layout twice over: minor
 /// 0 carried a single unframed text dictionary; minor 1 frames it into
-/// *segments* so a sharded engine's per-shard dictionary slices can ship
-/// without being unioned first (envelope_save_sharded_text); minor 2 turns
+/// *segments* so per-shard dictionary slices can ship without being
+/// unioned first (the library writes one segment; the reader accepts
+/// several); minor 2 turns
 /// header byte 10 into the algorithm tag (algo::paper = 0, the old
 /// reserved value, so minor-≤1 images restore as the paper sketch).
 /// Readers union all segments (first spelling wins) and re-apply the prune
@@ -46,9 +47,8 @@
 /// entries by fingerprint, so save → restore → save is byte-identical (the
 /// hash table's slot order, which depends on insertion history, never
 /// leaks into the bytes). envelope_save always writes the canonical
-/// single-segment union — the multi-segment form is an optimization for
-/// shippers that skip the union, and restoring it normalizes back to the
-/// canonical image. Weights travel as u64 or IEEE-754 f64 bits per
+/// single-segment union; a multi-segment image restores, and re-saves as
+/// the canonical image. Weights travel as u64 or IEEE-754 f64 bits per
 /// weight_kind. Decoding validates every field before the matching
 /// allocation — the §3 merging architecture ships summaries between
 /// machines, so envelope bytes are untrusted input.
@@ -56,7 +56,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -752,20 +751,6 @@ struct summary_serde_access {
         }
     }
 
-    /// Counters-only write (the shard-preserving saver frames the
-    /// dictionary itself).
-    template <typename W, typename L, typename T>
-    static void put_inner_summary(byte_writer& w,
-                                  const fingerprint_frequent_items<std::string, W, L, T>& s) {
-        put_summary(w, s.sketch_);
-    }
-
-    template <typename W, typename L, typename T>
-    static const spelling_dictionary<std::string>& dict_of(
-        const fingerprint_frequent_items<std::string, W, L, T>& s) {
-        return s.dict_;
-    }
-
     template <typename W, typename L, typename T>
     static void put_summary(byte_writer& w,
                             const fingerprint_frequent_items<std::string, W, L, T>& s) {
@@ -794,7 +779,7 @@ struct summary_serde_access {
         // owner's prune discipline so restored state matches what the
         // engine's own snapshot merge would have kept.
         if (s.dict_.over_budget()) {
-            s.prune();
+            s.prune_spellings();
         }
     }
 };
@@ -845,34 +830,6 @@ summary_bytes envelope_save(const Summary& s) {
     byte_writer w;
     detail::put_envelope_header<Summary>(w, summary_serde_access::config_of(s));
     summary_serde_access::put_summary(w, s);
-    return summary_bytes::wrap(std::move(w).take());
-}
-
-/// Shard-preserving save of a sharded text summary: counters come from the
-/// folded summary \p folded (the engine's merged snapshot), while the
-/// spelling dictionary ships as one segment per shard clone — skipping the
-/// writer-side union. Restoring unions the segments (first spelling wins)
-/// and normalizes back to the canonical single-segment image on the next
-/// save. \p shard_clones views must outlive the call; an empty span writes
-/// the canonical image of \p folded instead.
-template <typename W, typename L, typename T>
-summary_bytes envelope_save_sharded_text(
-    const fingerprint_frequent_items<std::string, W, L, T>& folded,
-    std::span<const fingerprint_frequent_items<std::string, W, L, T>* const> shard_clones) {
-    using summary_type = fingerprint_frequent_items<std::string, W, L, T>;
-    if (shard_clones.empty()) {
-        return envelope_save(folded);
-    }
-    FREQ_REQUIRE(shard_clones.size() <= summary_serde_access::max_dictionary_segments,
-                 "more shard dictionaries than the envelope's segment bound");
-    byte_writer w;
-    detail::put_envelope_header<summary_type>(w, summary_serde_access::config_of(folded));
-    summary_serde_access::put_inner_summary(w, folded);
-    w.put_u32(static_cast<std::uint32_t>(shard_clones.size()));
-    for (const auto* clone : shard_clones) {
-        summary_serde_access::put_dictionary_segment(w,
-                                                     summary_serde_access::dict_of(*clone));
-    }
     return summary_bytes::wrap(std::move(w).take());
 }
 

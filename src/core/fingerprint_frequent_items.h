@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/contracts.h"
 #include "core/basic_frequent_items.h"
 #include "core/frequent_items_sketch.h"
 #include "core/lifetime_policy.h"
@@ -135,7 +136,7 @@ public:
         // it, and prune keeps window-wide-tracked fingerprints).
         if (!dict_.contains(fp) && tracked_now(fp)) {
             if (dict_.note(fp, Traits::materialize(item))) {
-                prune();
+                prune_spellings();
             }
         }
     }
@@ -159,7 +160,7 @@ public:
     template <typename V>
     void note_spelling(std::uint64_t fp, V&& item) {
         if (dict_.note(fp, std::forward<V>(item))) {
-            prune();
+            prune_spellings();
         }
     }
 
@@ -188,8 +189,34 @@ public:
     void merge(const fingerprint_frequent_items& other) {
         sketch_.merge(other.sketch_);
         if (dict_.merge_union(other.dict_)) {
-            prune();
+            prune_spellings();
         }
+    }
+
+    /// Makes \p out a copy of this summary that carries only the spellings of
+    /// fingerprints the counting core tracks: the core is copy-assigned,
+    /// then each tracked id (at most k, k · window_epochs when windowed) is
+    /// looked up in the dictionary. The untracked spellings the dictionary
+    /// keeps until its next prune (up to 3/4 of it) are not copied; no row
+    /// of \p out can name them. The engine clones shards for snapshot folds
+    /// this way. \p out keeps its backing storage where capacities allow.
+    void copy_tracked_into(fingerprint_frequent_items& out) const {
+        FREQ_REQUIRE(&out != this, "cannot copy a sketch into itself");
+        out.sketch_ = sketch_;
+        out.dict_.reset_like(dict_);
+        sketch_.for_each([&](std::uint64_t fp, const W&) {
+            if (const Item* spelling = dict_.find(fp)) {
+                out.dict_.note(fp, *spelling);
+            }
+        });
+    }
+
+    /// Drops every spelling whose fingerprint the counting core no longer
+    /// tracks. O(dictionary size). Runs on its own whenever the dictionary
+    /// outgrows its budget; the engine also runs it on each snapshot fold,
+    /// whose merged counters can drop fingerprints the shards still track.
+    void prune_spellings() {
+        dict_.prune([this](std::uint64_t fp) { return sketch_.lower_bound(fp) > W{0}; });
     }
 
     // --- queries -------------------------------------------------------------
@@ -250,10 +277,6 @@ private:
         } else {
             return sketch_.lower_bound(fp) > W{0};
         }
-    }
-
-    void prune() {
-        dict_.prune([this](std::uint64_t fp) { return sketch_.lower_bound(fp) > W{0}; });
     }
 
     template <typename Rows>

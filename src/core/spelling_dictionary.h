@@ -96,6 +96,14 @@ public:
         return map_.size() > prune_limit_;
     }
 
+    /// Drops every spelling and adopts \p budget_of's prune budget, keeping
+    /// the bucket array for the refill that follows
+    /// (fingerprint_frequent_items::copy_tracked_into).
+    void reset_like(const spelling_dictionary& budget_of) {
+        map_.clear();
+        prune_limit_ = budget_of.prune_limit_;
+    }
+
     std::size_t size() const noexcept { return map_.size(); }
     bool empty() const noexcept { return map_.empty(); }
 

@@ -25,13 +25,15 @@
 ///  * ring(p).try_push(...)  — producer p only.
 ///  * spellings().try_push_batch() — any producer (mutex-guarded MPSC).
 ///  * drain()                — the shard's single worker thread only.
-///  * clone_sketch(), tick() — any thread; take the sketch mutex.
+///  * clone_sketch(), read_sketch(), tick() — any thread; take the sketch
+///    mutex.
 ///
 /// The sketch mutex is held only while a drained batch (or spelling run) is
-/// applied, while the sketch is being cloned for a snapshot, or while the
-/// lifetime clock ticks — never while waiting on a ring — so queries clone
-/// O(k) state and ingestion resumes immediately; readers never traverse
-/// live sketch state.
+/// applied, while the sketch is being cloned for a snapshot (or read through
+/// read_sketch()), or while the lifetime clock ticks — never while waiting
+/// on a ring — so queries clone O(k) state (counters plus the spellings of
+/// tracked fingerprints) and ingestion resumes immediately; snapshot
+/// readers never traverse live sketch state.
 
 #include <atomic>
 #include <concepts>
@@ -153,22 +155,47 @@ public:
 
     // --- snapshot / flush / lifetime support ---------------------------------
 
-    /// O(k) copy of the shard sketch (its dictionary slice included), taken
-    /// under the sketch mutex so a snapshot never observes a half-applied
-    /// batch.
+    /// O(k) copy of the shard sketch, taken under the sketch mutex so a
+    /// snapshot never observes a half-applied batch. A spelling-keeping
+    /// sketch's copy carries only the spellings of fingerprints its core
+    /// tracks (fingerprint_frequent_items::copy_tracked_into): at most k
+    /// lookups, where the dictionary slice itself holds up to 4·k entries.
     Sketch clone_sketch() const {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return sketch_;
+        if constexpr (spelling_sketch<Sketch>) {
+            // The config is fixed at construction, so the target is built
+            // before the lock is taken.
+            Sketch out(sketch_.config());
+            clone_sketch_into(out);
+            return out;
+        } else {
+            std::lock_guard<std::mutex> lock(mutex_);
+            return sketch_;
+        }
     }
 
     /// Copy-assigning clone for callers that keep a reusable target: the
-    /// target's backing arrays (counter table vectors, dictionary map) are
-    /// reused when capacities match, so a steady-state fold cycle
+    /// target's backing arrays (counter table vectors, dictionary buckets)
+    /// are reused when capacities match, so a steady-state fold cycle
     /// (stream_engine::snapshot_into) performs no heap allocation for
-    /// fixed-layout sketches. Same consistency contract as clone_sketch().
+    /// fixed-layout sketches. Same consistency contract and the same
+    /// tracked-spellings-only copy as clone_sketch().
     void clone_sketch_into(Sketch& out) const {
         std::lock_guard<std::mutex> lock(mutex_);
-        out = sketch_;
+        if constexpr (spelling_sketch<Sketch>) {
+            sketch_.copy_tracked_into(out);
+        } else {
+            out = sketch_;
+        }
+    }
+
+    /// Runs \p f over the live sketch under the sketch mutex and returns
+    /// its result — for reads no folded copy can answer, such as the
+    /// shard's own dictionary footprint. The worker waits while \p f runs,
+    /// and \p f must not keep references to the sketch.
+    template <typename F>
+    decltype(auto) read_sketch(F&& f) const {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return std::forward<F>(f)(sketch_);
     }
 
     /// Advances the sketch's lifetime clock (fading decay step / window

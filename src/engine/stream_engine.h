@@ -61,8 +61,10 @@
 /// staged spellings move into the shard's bounded spelling_channel under
 /// one lock; a spelling the full channel rejects is forgotten by the
 /// filter and re-sent on the key's next occurrence. Each shard thus owns the
-/// dictionary slice for exactly the fingerprints routed to it; snapshot()
-/// unions the slices, so snapshot().top_items(m) reports full spellings.
+/// dictionary slice for exactly the fingerprints routed to it. A shard
+/// clone carries the spellings of the fingerprints its shard tracks, and
+/// snapshot() unions them, so snapshot().top_items(m) reports full
+/// spellings.
 /// flush() barriers cover the spelling lane too. Identification is
 /// best-effort by design — a spelling swept while its fingerprint was
 /// untracked is re-sent when the producer's filter evicts, and the filter
@@ -106,10 +108,10 @@ struct engine_stats {
     std::uint64_t spellings_enqueued = 0;  ///< accepted into shard spelling channels
     std::uint64_t spellings_applied = 0;   ///< reached a shard dictionary
     std::uint64_t spelling_rejects = 0;    ///< deferred by full channels (retried later)
-    std::uint64_t snapshot_folds = 0;      ///< snapshot() calls (any path)
+    std::uint64_t snapshot_folds = 0;      ///< snapshot()/snapshot_into()/view() calls
     std::uint64_t snapshot_shards_refolded = 0;  ///< shard merges done by those folds
-    std::uint64_t snapshot_fold_reuses = 0;      ///< folds served as a copy of the
-                                                 ///< previous result (no shard dirty)
+    std::uint64_t snapshot_fold_reuses = 0;      ///< folds that reused the previous
+                                                 ///< result (no shard dirty)
 };
 
 template <typename K = std::uint64_t, typename W = std::uint64_t,
@@ -449,8 +451,9 @@ public:
     }
 
     /// A consistent point-in-time summary of everything applied so far:
-    /// clones each shard's sketch (brief per-shard lock, O(k) copy) and
-    /// folds the clones with the in-place Algorithm 5 merge. Never blocks
+    /// clones each shard's sketch (brief per-shard lock, O(k) copy; text
+    /// clones carry only the spellings of tracked fingerprints) and folds
+    /// the clones with the in-place Algorithm 5 merge. Never blocks
     /// ingestion beyond the per-shard copy. Valid summary of the union of
     /// shard sub-streams by Theorem 5.
     ///
@@ -459,17 +462,21 @@ public:
     /// whose generation advanced since the previous fold are re-cloned and
     /// re-merged. The shards that stayed clean are served from a cached
     /// "clean fold" (one merged sketch over the stable cold set, rebuilt
-    /// only when cold-set membership changes), so a steady-state publish
-    /// with D dirty shards costs one O(k) copy plus D merges — O(k·dirty),
-    /// not O(k·S) — and a publish with nothing dirty is one O(k) copy of
-    /// the previous result. Concurrent snapshot() calls serialize on the
-    /// cache mutex; the per-shard clone still happens under the shard's own
-    /// sketch mutex (cache mutex is always acquired first, and no path
-    /// takes them in the other order).
+    /// only when cold-set membership changes), so a steady-state fold with
+    /// D dirty shards costs one O(k) copy plus D merges — O(k·dirty), not
+    /// O(k·S) — and a fold with nothing dirty reuses the previous one. The
+    /// fold is cached; snapshot() returns a copy of it, view() shares it.
+    /// Concurrent folds serialize on the cache mutex; the per-shard clone
+    /// still happens under the shard's own sketch mutex (cache mutex is
+    /// always acquired first, and no path takes them in the other order).
     sketch_type snapshot() const {
-        sketch_type out(fold_base_cfg());
-        snapshot_into(out);
-        return out;
+        if (!cfg_.incremental_snapshots) {
+            sketch_type out(fold_base_cfg());
+            snapshot_into(out);
+            return out;
+        }
+        std::lock_guard<std::mutex> lock(fold_mutex_);
+        return fold_locked();
     }
 
     /// Folds the current snapshot state *into* \p out by copy-assignment —
@@ -477,10 +484,10 @@ public:
     /// target sketch across publishes (the snapshot service does) performs
     /// zero heap allocations per steady-state incremental fold for
     /// fixed-layout sketches (u64 keys): the cached clean fold, the
-    /// per-shard clones and the previous-fold cache all copy-assign into
-    /// existing vector capacity, and the dirty-shard merges are in-place
-    /// O(k). Spelling-keeping sketches still allocate a hash-map node and
-    /// a string for each dictionary entry new since the last fold. \p out
+    /// per-shard clones and the cached fold all copy-assign into existing
+    /// vector capacity, and the dirty-shard merges are in-place O(k).
+    /// Spelling-keeping sketches still allocate a hash-map node (and a
+    /// string, past the small-string size) per copied spelling. \p out
     /// must be constructed from this engine's config or be a previous
     /// snapshot of it.
     void snapshot_into(sketch_type& out) const {
@@ -493,72 +500,39 @@ public:
                 const sketch_type part = shards_[s]->clone_sketch();
                 out.merge(part);
             }
+            if constexpr (spelling_sketch<sketch_type>) {
+                out.prune_spellings();
+            }
             return;
         }
-        const std::size_t S = shards_.size();
         std::lock_guard<std::mutex> lock(fold_mutex_);
-        snapshot_folds_.fetch_add(1, std::memory_order_relaxed);
-        fold_cache& c = cache_;
-        // Generations first, clones after: a mutation racing this read can
-        // only make a future fold conservatively re-merge a shard whose
-        // clone already contains it — never the reverse.
-        std::vector<std::uint64_t>& gens_now = c.gens_scratch;
-        gens_now.resize(S);
-        for (std::size_t s = 0; s < S; ++s) {
-            gens_now[s] = shards_[s]->generation();
+        out = fold_locked();
+    }
+
+    /// The current fold, shared instead of copied: what snapshot() returns,
+    /// without the O(k) copy (the fold-on-demand read of the sharded
+    /// façade). The sketch behind the pointer is never written again: the
+    /// next fold that has new state folds into a fresh sketch, and this one
+    /// lives as long as its last holder (copy-on-write). Queries with no
+    /// update between them share one fold. With incremental snapshots off,
+    /// every call folds from scratch into a new sketch.
+    std::shared_ptr<const sketch_type> view() const {
+        if (!cfg_.incremental_snapshots) {
+            return std::make_shared<const sketch_type>(snapshot());
         }
-        if (c.last_fold.has_value() && gens_now == c.last_gens) {
-            snapshot_reuses_.fetch_add(1, std::memory_order_relaxed);
-            out = *c.last_fold;
-            return;
-        }
-        if (c.clones.empty()) {
-            c.clones.reserve(S);
-            for (std::size_t s = 0; s < S; ++s) {
-                c.clones.push_back(shards_[s]->clone_sketch());
-            }
-            c.gens = gens_now;
-            c.dirty.assign(S, 1);
-        } else {
-            c.dirty.assign(S, 0);
-            for (std::size_t s = 0; s < S; ++s) {
-                if (gens_now[s] != c.gens[s]) {
-                    c.dirty[s] = 1;
-                    shards_[s]->clone_sketch_into(c.clones[s]);
-                    c.gens[s] = gens_now[s];
-                }
-            }
-        }
-        std::uint64_t refolded = 0;
-        // The clean fold covers exactly the shards that did NOT move this
-        // round; rebuild it only when that membership changes (a shard going
-        // hot→cold or cold→hot), from the cached clones — no shard locks.
-        std::vector<char>& clean = c.clean_scratch;
-        clean.resize(S);
-        for (std::size_t s = 0; s < S; ++s) {
-            clean[s] = static_cast<char>(!c.dirty[s]);
-        }
-        if (!c.clean_fold.has_value() || clean != c.in_clean) {
-            c.clean_fold.emplace(fold_base_cfg());
-            for (std::size_t s = 0; s < S; ++s) {
-                if (clean[s]) {
-                    c.clean_fold->merge(c.clones[s]);
-                    ++refolded;
-                }
-            }
-            c.in_clean = clean;
-        }
-        out = *c.clean_fold;
-        for (std::size_t s = 0; s < S; ++s) {
-            if (c.dirty[s]) {
-                out.merge(c.clones[s]);
-                ++refolded;
-            }
-        }
-        snapshot_refolds_.fetch_add(refolded, std::memory_order_relaxed);
-        obs::pipeline().snapshot_shards_refolded.add(refolded);
-        c.last_fold = out;
-        c.last_gens = gens_now;
+        std::lock_guard<std::mutex> lock(fold_mutex_);
+        fold_locked();
+        cache_.last_fold_shared = true;
+        return cache_.last_fold;
+    }
+
+    /// Runs \p f over shard \p s's live sketch under that shard's lock
+    /// (engine_shard::read_sketch) — for per-shard reads a fold cannot
+    /// answer, such as each shard's own dictionary footprint.
+    template <typename F>
+    decltype(auto) read_shard(std::uint32_t s, F&& f) const {
+        FREQ_REQUIRE(s < shards_.size(), "shard index out of range");
+        return shards_[s]->read_sketch(std::forward<F>(f));
     }
 
     // --- async snapshot service ---------------------------------------------
@@ -668,11 +642,93 @@ private:
         std::vector<char> dirty;           ///< scratch: which shards moved this fold
         std::vector<char> in_clean;        ///< membership of clean_fold
         std::optional<sketch_type> clean_fold;  ///< fold over the stable cold set
-        std::optional<sketch_type> last_fold;   ///< previous snapshot() result
+        std::shared_ptr<sketch_type> last_fold;  ///< the latest fold
+        bool last_fold_shared = false;  ///< view() handed last_fold out
         std::vector<std::uint64_t> last_gens;   ///< generations last_fold covers
         std::vector<std::uint64_t> gens_scratch;  ///< per-fold generation reads
         std::vector<char> clean_scratch;          ///< per-fold clean membership
     };
+
+    /// The incremental fold behind snapshot(), snapshot_into() and view();
+    /// requires fold_mutex_ held. Returns the cached fold, refreshed when a
+    /// shard's generation moved.
+    const sketch_type& fold_locked() const {
+        const std::size_t S = shards_.size();
+        snapshot_folds_.fetch_add(1, std::memory_order_relaxed);
+        fold_cache& c = cache_;
+        // Generations first, clones after: a mutation racing this read can
+        // only make a future fold conservatively re-merge a shard whose
+        // clone already contains it — never the reverse.
+        std::vector<std::uint64_t>& gens_now = c.gens_scratch;
+        gens_now.resize(S);
+        for (std::size_t s = 0; s < S; ++s) {
+            gens_now[s] = shards_[s]->generation();
+        }
+        if (c.last_fold != nullptr && gens_now == c.last_gens) {
+            snapshot_reuses_.fetch_add(1, std::memory_order_relaxed);
+            return *c.last_fold;
+        }
+        if (c.clones.empty()) {
+            c.clones.reserve(S);
+            for (std::size_t s = 0; s < S; ++s) {
+                c.clones.push_back(shards_[s]->clone_sketch());
+            }
+            c.gens = gens_now;
+            c.dirty.assign(S, 1);
+        } else {
+            c.dirty.assign(S, 0);
+            for (std::size_t s = 0; s < S; ++s) {
+                if (gens_now[s] != c.gens[s]) {
+                    c.dirty[s] = 1;
+                    shards_[s]->clone_sketch_into(c.clones[s]);
+                    c.gens[s] = gens_now[s];
+                }
+            }
+        }
+        std::uint64_t refolded = 0;
+        // The clean fold covers exactly the shards that did NOT move this
+        // round; rebuild it only when that membership changes (a shard going
+        // hot→cold or cold→hot), from the cached clones — no shard locks.
+        std::vector<char>& clean = c.clean_scratch;
+        clean.resize(S);
+        for (std::size_t s = 0; s < S; ++s) {
+            clean[s] = static_cast<char>(!c.dirty[s]);
+        }
+        if (!c.clean_fold.has_value() || clean != c.in_clean) {
+            c.clean_fold.emplace(fold_base_cfg());
+            for (std::size_t s = 0; s < S; ++s) {
+                if (clean[s]) {
+                    c.clean_fold->merge(c.clones[s]);
+                    ++refolded;
+                }
+            }
+            c.in_clean = clean;
+        }
+        // Fold straight into the cached sketch, unless view() handed it out:
+        // a holder may still be reading it, so the fold gets a fresh sketch.
+        if (c.last_fold == nullptr || c.last_fold_shared) {
+            c.last_fold = std::make_shared<sketch_type>(*c.clean_fold);
+            c.last_fold_shared = false;
+        } else {
+            *c.last_fold = *c.clean_fold;
+        }
+        sketch_type& out = *c.last_fold;
+        for (std::size_t s = 0; s < S; ++s) {
+            if (c.dirty[s]) {
+                out.merge(c.clones[s]);
+                ++refolded;
+            }
+        }
+        if constexpr (spelling_sketch<sketch_type>) {
+            // The clones carry what each shard tracks; the merged counters
+            // can track less, and the fold keeps only what it can report.
+            out.prune_spellings();
+        }
+        snapshot_refolds_.fetch_add(refolded, std::memory_order_relaxed);
+        obs::pipeline().snapshot_shards_refolded.add(refolded);
+        c.last_gens = gens_now;
+        return out;
+    }
 
     /// Config of the empty sketch incremental folds merge into. Must match
     /// shard 0's config bit-for-bit (for seed-perturbing backends the

@@ -21,6 +21,8 @@
 #include "api/summarizer.h"
 #include "api/summary_bytes.h"
 #include "core/fingerprint_frequent_items.h"
+#include "core/frequent_items_sketch.h"
+#include "core/lifetime_policy.h"
 #include "core/string_frequent_items.h"
 #include "engine/stream_engine.h"
 #include "random/xoshiro.h"
@@ -273,6 +275,112 @@ TEST(EngineText, RejectedSpellingsAreRetriedAndCounted) {
     ASSERT_EQ(top.size(), 10u);
     for (const auto& r : top) {
         EXPECT_NE(r.item, "<unknown>") << "fingerprint " << r.fingerprint;
+    }
+}
+
+// --- the fold carries tracked spellings only ---------------------------------
+
+/// The rows a query reads off a text summary, compared field by field.
+template <typename Rows>
+void expect_same_rows(const Rows& got, const Rows& want, const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].item, want[i].item) << what << " row " << i;
+        EXPECT_EQ(got[i].fingerprint, want[i].fingerprint) << what << " row " << i;
+        EXPECT_EQ(got[i].estimate, want[i].estimate) << what << " row " << i;
+        EXPECT_EQ(got[i].lower_bound, want[i].lower_bound) << what << " row " << i;
+        EXPECT_EQ(got[i].upper_bound, want[i].upper_bound) << what << " row " << i;
+    }
+}
+
+/// Feeds a long-tailed word stream through an engine whose shards keep
+/// untracked spellings, then checks its fold view: the view's dictionary
+/// holds exactly the spellings, known to some shard, of the fingerprints the
+/// fold tracks, and its rows equal those of a reference fold merged from
+/// full shard copies (every spelling, untracked ones included).
+template <typename W, typename Lifetime>
+void fold_keeps_only_tracked_spellings(const sketch_config& sk, std::uint32_t shards,
+                                       bool tick) {
+    using sketch_type = string_frequent_items<W, Lifetime>;
+    engine_config cfg;
+    cfg.num_shards = shards;
+    cfg.sketch = sk;
+    stream_engine<std::uint64_t, W, sketch_type> engine(cfg);
+    const auto stream = word_stream(60'000, 20'000, 17 + shards);
+    {
+        auto producer = engine.make_producer();
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            producer.push(std::string_view(stream[i].first), static_cast<W>(stream[i].second));
+            if (tick && i % 20'000 == 19'999) {
+                producer.flush();
+                engine.flush();
+                engine.advance_epoch();
+            }
+        }
+    }
+    engine.flush();
+
+    // Every spelling a shard holds, and whether that shard tracks it.
+    std::unordered_map<std::uint64_t, std::pair<std::string, bool>> known;
+    for (std::uint32_t s = 0; s < shards; ++s) {
+        engine.read_shard(s, [&](const sketch_type& shard) {
+            shard.dictionary().for_each([&](std::uint64_t fp, const std::string& spelling) {
+                known.emplace(fp, std::pair(spelling, shard.lower_bound(spelling) > W{0}));
+            });
+        });
+    }
+
+    const auto view = engine.view();
+    std::size_t fold_tracked = 0;
+    for (const auto& [fp, entry] : known) {
+        const auto& [spelling, shard_tracked] = entry;
+        const std::string* kept = view->dictionary().find(fp);
+        if (view->lower_bound(spelling) > W{0}) {
+            ++fold_tracked;
+            EXPECT_TRUE(shard_tracked) << spelling;
+            ASSERT_NE(kept, nullptr) << "tracked spelling dropped: " << spelling;
+            EXPECT_EQ(*kept, spelling);
+        } else {
+            EXPECT_EQ(kept, nullptr) << "untracked spelling in the fold: " << spelling;
+        }
+    }
+    ASSERT_GT(fold_tracked, 0u);
+    ASSERT_GT(known.size(), fold_tracked) << "no untracked spelling to leave out";
+    EXPECT_EQ(view->dictionary().size(), fold_tracked) << "a spelling no shard knew";
+
+    sketch_type reference(cfg.sketch);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+        reference.merge(engine.read_shard(s, [](const sketch_type& shard) { return shard; }));
+    }
+    EXPECT_EQ(view->total_weight(), reference.total_weight());
+    expect_same_rows(view->top_items(1u << 20), reference.top_items(1u << 20), "top_items");
+    expect_same_rows(view->frequent_items(error_type::no_false_negatives),
+                     reference.frequent_items(error_type::no_false_negatives), "nfn");
+    expect_same_rows(view->frequent_items(error_type::no_false_positives),
+                     reference.frequent_items(error_type::no_false_positives), "nfp");
+}
+
+TEST(EngineText, FoldViewCarriesOnlyTrackedSpellingsPlain) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+        SCOPED_TRACE(shards);
+        fold_keeps_only_tracked_spellings<std::uint64_t, plain_lifetime>(
+            sketch_config{.max_counters = 256, .seed = 4}, shards, false);
+    }
+}
+
+TEST(EngineText, FoldViewCarriesOnlyTrackedSpellingsFading) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+        SCOPED_TRACE(shards);
+        fold_keeps_only_tracked_spellings<double, exponential_fading>(
+            sketch_config{.max_counters = 256, .seed = 5, .decay = 0.5}, shards, true);
+    }
+}
+
+TEST(EngineText, FoldViewCarriesOnlyTrackedSpellingsWindowed) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+        SCOPED_TRACE(shards);
+        fold_keeps_only_tracked_spellings<std::uint64_t, epoch_window>(
+            sketch_config{.max_counters = 256, .seed = 6, .window_epochs = 2}, shards, true);
     }
 }
 
@@ -542,6 +650,25 @@ TEST(FacadeShardedText, CachedSnapshotViewAnswersWithSpellings) {
     EXPECT_GT(s.estimate(top[0].item), 0.0);
     s.disable_snapshot_service();
     EXPECT_DOUBLE_EQ(s.total_weight(), total);  // fold-on-demand agrees
+}
+
+TEST(FacadeShardedText, MemoryBytesCountsEveryShardDictionary) {
+    // 200 one-shot words at k = 64: each shard keeps every spelling it got
+    // (fewer than its 4 x 64 prune budget) while its core tracks at most 64
+    // fingerprints, so the fold's dictionary is the smaller one.
+    auto s = builder().text_keys().max_counters(64).seed(8).sharded(2).build();
+    std::size_t entry_bytes = 0;
+    for (int i = 0; i < 200; ++i) {
+        std::string word = "once_";  // +=: gcc 12 -Wrestrict FP (PR105329)
+        word += std::to_string(i);
+        s.update(word, 1.0);
+        // spelling_dictionary::memory_bytes()'s per-entry accounting.
+        entry_bytes += sizeof(std::uint64_t) + sizeof(std::string) + 2 * sizeof(void*) +
+                       std::string(word).capacity();
+    }
+    s.flush();
+    const std::size_t tables = 2 * frequent_items_sketch<std::uint64_t, double>::bytes_for(64);
+    EXPECT_GE(s.memory_bytes(), tables + entry_bytes);
 }
 
 TEST(FacadeShardedText, DictionaryStaysBoundedUnderChurn) {

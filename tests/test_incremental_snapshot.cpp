@@ -262,6 +262,107 @@ TEST(IncrementalSnapshot, MatchesScratchFoldWindowed) {
         sketch_config{.max_counters = 1024, .seed = 13, .window_epochs = 3}, true);
 }
 
+/// view() shares the cached fold: two reads with no update between them
+/// cost one fold plus one reuse and return the same sketch. A view a caller
+/// holds is never written again — ingest continues, the next fold gets a
+/// fresh sketch, and the held view still answers as it did.
+TEST(IncrementalSnapshot, ViewsShareOneFoldAndHeldViewsStayUnchanged) {
+    constexpr std::uint32_t S = 4;
+    engine_config cfg;
+    cfg.num_shards = S;
+    cfg.sketch = sketch_config{.max_counters = 256, .seed = 23};
+    stream_engine<> engine(cfg);
+    xoshiro256ss rng(7);
+    const auto ingest = [&](int n) {
+        auto p = engine.make_producer();
+        for (int i = 0; i < n; ++i) {
+            p.push(rng.below(1'000), rng.between(1, 9));
+        }
+        p.flush();
+        engine.flush();
+    };
+    ingest(5'000);
+
+    const auto before = engine.stats();
+    const auto v1 = engine.view();
+    const auto v2 = engine.view();
+    auto st = engine.stats();
+    EXPECT_EQ(st.snapshot_folds - before.snapshot_folds, 2u);
+    EXPECT_EQ(st.snapshot_shards_refolded - before.snapshot_shards_refolded, S);
+    EXPECT_EQ(st.snapshot_fold_reuses - before.snapshot_fold_reuses, 1u);
+    EXPECT_EQ(v1.get(), v2.get()) << "the second read copied the fold";
+
+    const auto n1 = v1->total_weight();
+    const auto rows1 = v1->top_items(64);
+    ASSERT_FALSE(rows1.empty());
+    EXPECT_EQ(engine.snapshot().total_weight(), n1);
+
+    ingest(5'000);
+    const auto v3 = engine.view();
+    EXPECT_NE(v3.get(), v1.get());
+    EXPECT_GT(v3->total_weight(), n1);
+    (void)engine.snapshot();  // the snapshot_into path folds past v1 too
+    ingest(1'000);
+    const auto v4 = engine.view();
+    EXPECT_GT(v4->total_weight(), v3->total_weight());
+
+    EXPECT_EQ(v1->total_weight(), n1);
+    const auto rows_now = v1->top_items(64);
+    ASSERT_EQ(rows_now.size(), rows1.size());
+    for (std::size_t i = 0; i < rows1.size(); ++i) {
+        EXPECT_EQ(rows_now[i].id, rows1[i].id) << "row " << i;
+        EXPECT_EQ(rows_now[i].estimate, rows1[i].estimate) << "row " << i;
+        EXPECT_EQ(rows_now[i].lower_bound, rows1[i].lower_bound) << "row " << i;
+    }
+}
+
+/// TSan coverage for the shared fold: readers hold views from view() while
+/// producers ingest and other folds run, so a fold that wrote into a sketch
+/// a reader still holds would race that reader.
+TEST(IncrementalSnapshot, ConcurrentViewsDuringIngest) {
+    engine_config cfg;
+    cfg.num_shards = 2;
+    cfg.num_producers = 1;
+    cfg.sketch = sketch_config{.max_counters = 512, .seed = 29};
+    stream_engine<> engine(cfg);
+
+    constexpr std::uint64_t updates = 40'000;
+    std::atomic<bool> done{false};
+    std::latch readers_started(2);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 2; ++t) {
+        readers.emplace_back([&engine, &done, &readers_started] {
+            auto held = engine.view();
+            readers_started.count_down();
+            while (!done.load(std::memory_order_acquire)) {
+                auto next = engine.view();
+                EXPECT_GE(next->total_weight(), held->total_weight());
+                std::uint64_t sum = 0;
+                for (const auto& r : held->top_items(16)) {
+                    sum += r.estimate;
+                }
+                EXPECT_LE(sum, held->total_weight() + 16 * held->maximum_error());
+                held = std::move(next);
+                std::this_thread::yield();
+            }
+        });
+    }
+    {
+        auto p = engine.make_producer();
+        xoshiro256ss rng(3);
+        readers_started.wait();
+        for (std::uint64_t i = 0; i < updates; ++i) {
+            p.push(rng.below(2'000), 1);
+        }
+    }
+    done.store(true, std::memory_order_release);
+    for (auto& t : readers) {
+        t.join();
+    }
+    engine.flush();
+    EXPECT_EQ(engine.view()->total_weight(), updates);
+}
+
 /// TSan coverage: snapshots folding incrementally while producers ingest.
 /// The producers start only once the reader has folded its first snapshot,
 /// so folds overlap ingest by construction. The final flushed snapshot must

@@ -12,10 +12,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/builder.h"
 #include "api/summary_bytes.h"
+#include "common/bytes.h"
 #include "core/frequent_items_sketch.h"
 #include "random/xoshiro.h"
 #include "stream/generators.h"
@@ -249,8 +251,46 @@ TEST(SerdeFuzz, AcceptanceBoundRejectsOversizedCapacity) {
 
 using text_sketch = string_frequent_items<double>;
 
-/// Two "shard" summaries over disjoint-ish vocabularies plus their fold —
-/// the shape envelope_save_sharded_text ships for a sharded text engine.
+/// Appends one dictionary segment in the envelope's layout: dict_n u32,
+/// then (fp u64, len u32, bytes) per entry in ascending fingerprint order.
+void put_segment(byte_writer& w, const text_sketch& s) {
+    std::vector<std::pair<std::uint64_t, std::string>> entries;
+    s.dictionary().for_each([&](std::uint64_t fp, const std::string& spelling) {
+        entries.emplace_back(fp, spelling);
+    });
+    std::sort(entries.begin(), entries.end());
+    w.put_u32(static_cast<std::uint32_t>(entries.size()));
+    for (const auto& [fp, spelling] : entries) {
+        w.put_u64(fp);
+        w.put_u32(static_cast<std::uint32_t>(spelling.size()));
+        w.put_bytes(spelling.data(), spelling.size());
+    }
+}
+
+/// A minor-1 image whose dictionary ships as one segment per source: the
+/// canonical image of \p folded with its single-segment dictionary tail
+/// replaced by segment_count = |sources| and one segment per source.
+std::vector<std::uint8_t> segmented_image(const text_sketch& folded,
+                                          const std::vector<const text_sketch*>& sources) {
+    byte_writer tail;
+    tail.put_u32(1);
+    put_segment(tail, folded);
+    const std::size_t canonical_tail = std::move(tail).take().size();
+
+    auto bytes = envelope_save(folded).take();
+    bytes.resize(bytes.size() - canonical_tail);
+    byte_writer segments;
+    segments.put_u32(static_cast<std::uint32_t>(sources.size()));
+    for (const text_sketch* source : sources) {
+        put_segment(segments, *source);
+    }
+    const auto appended = std::move(segments).take();
+    bytes.insert(bytes.end(), appended.begin(), appended.end());
+    return bytes;
+}
+
+/// Two "shard" summaries over disjoint-ish vocabularies plus their fold,
+/// saved with one dictionary segment per shard.
 struct sharded_fixture {
     // k = 128 > the 70-word vocabulary: every word stays tracked, so the
     // union/normalization checks below are deterministic.
@@ -267,12 +307,7 @@ struct sharded_fixture {
         folded.merge(b);
     }
 
-    std::vector<std::uint8_t> segmented_bytes() const {
-        const std::vector<const text_sketch*> clones{&a, &b};
-        return envelope_save_sharded_text<double>(
-                   folded, std::span<const text_sketch* const>(clones))
-            .take();
-    }
+    std::vector<std::uint8_t> segmented_bytes() const { return segmented_image(folded, {&a, &b}); }
 };
 
 TEST(ShardedDictEnvelope, SegmentedImageRestoresToTheUnion) {

@@ -155,6 +155,49 @@ TEST(SpellingDictionary, CopiesAreDeepAndCopyAssignKeepsContents) {
     }
 }
 
+TEST(StringSketch, CopyTrackedIntoKeepsOnlyTrackedSpellings) {
+    // 40 one-shot words through 16 counters: most get evicted, but their
+    // spellings stay until the dictionary outgrows its 64-entry budget.
+    string_frequent_items<std::uint64_t> s(16);
+    for (int i = 0; i < 40; ++i) {
+        std::string word = "once_";  // +=: see the gcc 12 note above
+        word += std::to_string(i);
+        s.update(word, 1);
+        std::string heavy = "heavy_";
+        heavy += std::to_string(i % 4);
+        s.update(heavy, 10);
+    }
+    // A reused target: its earlier spellings must not survive the copy.
+    string_frequent_items<std::uint64_t> out(16);
+    out.update("stale", 1);
+    s.copy_tracked_into(out);
+
+    std::size_t tracked = 0;
+    s.dictionary().for_each([&](std::uint64_t fp, const std::string& spelling) {
+        const std::string* kept = out.dictionary().find(fp);
+        if (s.lower_bound(spelling) > 0) {
+            ++tracked;
+            ASSERT_NE(kept, nullptr) << spelling;
+            EXPECT_EQ(*kept, spelling);
+        } else {
+            EXPECT_EQ(kept, nullptr) << spelling;
+        }
+    });
+    ASSERT_GT(s.dictionary().size(), tracked) << "no untracked spelling to leave out";
+    EXPECT_EQ(out.dictionary().size(), tracked);
+    EXPECT_EQ(out.dictionary().find(fnv1a64("stale")), nullptr);
+    EXPECT_EQ(out.dictionary().prune_limit(), s.dictionary().prune_limit());
+    EXPECT_EQ(out.total_weight(), s.total_weight());
+    const auto want = s.top_items(16);
+    const auto got = out.top_items(16);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].item, want[i].item) << "row " << i;
+        EXPECT_EQ(got[i].lower_bound, want[i].lower_bound) << "row " << i;
+        EXPECT_EQ(got[i].upper_bound, want[i].upper_bound) << "row " << i;
+    }
+}
+
 TEST(StringSketch, FrequentItemsCarryFingerprints) {
     // The fingerprint/dictionary split exposes the counted fingerprint on
     // every row — the id the engine routes by.
